@@ -124,6 +124,29 @@ class MeetFailure:
     maximal_lower_bound_ids: tuple[int, ...]
 
 
+def maximal_lower_bounds(leq: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Ids of the maximal common lower bounds of i and j in an order matrix."""
+    ids = np.nonzero(leq[:, i] & leq[:, j])[0]
+    return ids[leq[np.ix_(ids, ids)].sum(axis=1) == 1]
+
+
+def first_meet_failure(leq: np.ndarray):
+    """The first incomparable pair without a unique maximal lower bound.
+
+    Scans j, then i < j, and returns (i, j, maximal lower bound ids), or
+    None when every pair has a greatest lower bound.
+    """
+    n = len(leq)
+    for j in range(n):
+        for i in range(j):
+            if leq[i, j] or leq[j, i]:
+                continue
+            maximal = maximal_lower_bounds(leq, i, j)
+            if len(maximal) != 1:
+                return i, j, maximal
+    return None
+
+
 def is_lattice_bruteforce(poset: IntervalPoset):
     """Scan all pairs for a unique greatest lower bound.
 
@@ -131,20 +154,11 @@ def is_lattice_bruteforce(poset: IntervalPoset):
     suffice for being a lattice.  Returns (True, None) or
     (False, MeetFailure) for the first failing pair in scan order.
     """
-    leq = poset.leq
-    n = poset.size
-    for j in range(n):
-        for i in range(j):
-            if leq[i, j] or leq[j, i]:
-                continue
-            ids = np.nonzero(leq[:, i] & leq[:, j])[0]
-            sub = leq[np.ix_(ids, ids)]
-            maximal = ids[sub.sum(axis=1) == 1]
-            if len(maximal) != 1:
-                return False, MeetFailure(
-                    i, j, tuple(int(x) for x in maximal)
-                )
-    return True, None
+    failure = first_meet_failure(poset.leq)
+    if failure is None:
+        return True, None
+    i, j, maximal = failure
+    return False, MeetFailure(i, j, tuple(int(x) for x in maximal))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -203,10 +217,7 @@ def meet(poset: IntervalPoset, v: Element, w: Element) -> Element:
     j = poset.index_of(w)
     inter = parabolic_closure(v).intersect(parabolic_closure(w))
     central = inter.central_involution
-    leq = poset.leq
-    ids = np.nonzero(leq[:, i] & leq[:, j])[0]
-    sub = leq[np.ix_(ids, ids)]
-    maximal = ids[sub.sum(axis=1) == 1]
+    maximal = maximal_lower_bounds(poset.leq, i, j)
     if central is None or len(maximal) != 1:
         raise ValueError("interval is not a lattice at this pair")
     candidate = poset.elements[int(maximal[0])]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
-from .dihedral import Dihedral, dihedral_report
+from .dihedral import Dihedral
 from .element import Element, longest_element, simple_reflection
 from .parabolic import (
     Parabolic,
@@ -292,12 +292,7 @@ def counterexample_witness(label) -> CounterexampleWitness:
 
 
 # ----------------------------------------------------------------------
-# dihedral fast path and per-class tables
-
-
-def dihedral_fast_path(m: int) -> dict:
-    """Answer the standard I2(m) questions symbolically for any m >= 2."""
-    return dihedral_report(m)
+# per-class tables
 
 
 def dihedral_involution_class_table(m: int) -> list[dict]:

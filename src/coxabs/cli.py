@@ -24,12 +24,12 @@ from .absorder import (
     poset_to_json,
 )
 from .classify import (
-    dihedral_fast_path,
     dihedral_involution_class_table,
     involution_class_table,
     lattice_by_classification,
 )
-from .element import Element, from_word, longest_element
+from .dihedral import dihedral_report
+from .element import Element, from_word, group_cap, longest_element
 from .oracles import DYER_MAX_WORD, dyer_reflection_length
 from .parabolic import Parabolic
 from .rootsystem import (
@@ -40,7 +40,7 @@ from .rootsystem import (
     format_type_multiset,
     parse_label,
 )
-from .verify import ALL_CHECKS, report_to_dict, run_all
+from .verify import report_to_dict, run_all
 
 
 class UsageError(Exception):
@@ -72,7 +72,7 @@ def _load_system(text: str) -> RootSystem:
                 matrix = CoxeterMatrix.from_text(handle.read())
             except ValueError as exc:
                 raise UsageError(f"bad matrix file {text!r}: {exc}") from exc
-        return RootSystem.build(matrix)
+        return RootSystem(matrix)
     raise UsageError(f"unknown type or missing matrix file: {text!r}")
 
 
@@ -107,7 +107,7 @@ def _element_from_args(system: RootSystem, args) -> Element:
 def _cmd_build(args) -> int:
     bond = _symbolic_bond(args.type)
     if bond is not None:
-        report = dihedral_fast_path(bond)
+        report = dihedral_report(bond)
         print(f"type: I2({bond}) (symbolic)")
         print("rank: 2")
         print(f"reflections: {report['reflection_count']}")
@@ -149,6 +149,7 @@ def _cmd_length(args) -> int:
         oracle = dyer_reflection_length(system, reduced)
         verdict = "agrees" if oracle == carter else "DISAGREES"
         print(f"l_T (deletion oracle) = {oracle}, {verdict}")
+        return 0 if oracle == carter else 1
     return 0
 
 
@@ -174,7 +175,7 @@ def _cmd_interval(args) -> int:
 def _cmd_lattice(args) -> int:
     bond = _symbolic_bond(args.type)
     if bond is not None:
-        report = dihedral_fast_path(bond)
+        report = dihedral_report(bond)
         verdict = report["is_lattice_bruteforce"]
         agree = report["tests_agree"]
         print("LATTICE" if verdict else "NOT A LATTICE")
@@ -184,7 +185,7 @@ def _cmd_lattice(args) -> int:
             f"classification={report['is_lattice_by_classification']} "
             f"agree={agree}"
         )
-        return 0
+        return 0 if agree else 1
     system = _load_system(args.type)
     element = _element_from_args(system, args)
     if not element.is_involution:
@@ -193,6 +194,7 @@ def _cmd_lattice(args) -> int:
     brute, _ = is_lattice_bruteforce(poset)
     structural, failure = is_lattice_structural(element)
     classified = lattice_by_classification(element)
+    agree = brute == structural == classified
     if brute and structural and classified:
         print("LATTICE")
     else:
@@ -203,9 +205,9 @@ def _cmd_lattice(args) -> int:
         print()
     print(
         f"brute={brute} structural={structural} "
-        f"classification={classified} agree={brute == structural == classified}"
+        f"classification={classified} agree={agree}"
     )
-    return 0
+    return 0 if agree else 1
 
 
 def _cmd_classify(args) -> int:
@@ -256,18 +258,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.only:
-        wanted = args.only.lower()
-        names = [name for name, _, _ in ALL_CHECKS if wanted in name.lower()]
-        if not names:
-            raise UsageError(f"no check matches {args.only!r}")
-        results = [
-            fn(args.deep) if takes_deep else fn()
-            for name, fn, takes_deep in ALL_CHECKS
-            if name in names
-        ]
-    else:
-        results = run_all(deep=args.deep)
+    results = run_all(deep=args.deep, only=args.only)
+    if not results:
+        raise UsageError(f"no check matches {args.only!r}")
     for result in results:
         print(result.summary())
         for line in result.lines:
@@ -344,11 +337,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except UsageError as exc:
+        group_cap()
+    except ValueError as exc:  # a bad COXABS_MAX_GROUP fails every command
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CoxeterError as exc:
+    try:
+        return args.handler(args)
+    except (UsageError, CoxeterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,6 @@
 """Symbolic dihedral groups, exact for every bond label m.
 
-The geometric route needs cos(pi/m) inside the radical field, which
+The geometric route needs the root system inside the field Q(phi), which
 limits it to m <= 6.  A dihedral group is small enough to handle purely
 combinatorially instead: elements are rotation/reflection symbols over
 Z_m with the usual composition rules, reflection length is 0, 1 or 2,
@@ -16,6 +16,7 @@ import dataclasses
 
 import numpy as np
 
+from .absorder import first_meet_failure
 from .rootsystem import format_type_multiset, make_label
 
 
@@ -154,8 +155,6 @@ class Dihedral:
         if q[0] == "full":
             return p
         # two distinct axes, or an axis against the trivial subgroup
-        if p[0] == "trivial" or q[0] == "trivial":
-            return ("trivial",)
         return ("trivial",)
 
     # -- intervals and the three lattice tests ----------------------------------
@@ -182,17 +181,10 @@ class Dihedral:
 
     def lattice_bruteforce(self, u: DihedralElement):
         members, _, leq = self.interval(u)
-        n = len(members)
-        for j in range(n):
-            for i in range(j):
-                if leq[i, j] or leq[j, i]:
-                    continue
-                ids = np.nonzero(leq[:, i] & leq[:, j])[0]
-                sub = leq[np.ix_(ids, ids)]
-                maximal = ids[sub.sum(axis=1) == 1]
-                if len(maximal) != 1:
-                    return False, (members[i], members[j])
-        return True, None
+        failure = first_meet_failure(leq)
+        if failure is None:
+            return True, None
+        return False, (members[failure[0]], members[failure[1]])
 
     def lattice_structural(self, u: DihedralElement):
         members, _, _ = self.interval(u)

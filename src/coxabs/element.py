@@ -195,9 +195,8 @@ def from_word(system: RootSystem, word) -> Element:
 
 def longest_element(system: RootSystem) -> Element:
     """The longest element, by greedy ascent through positive images."""
-    cached = getattr(system, "_w0", None)
-    if cached is not None:
-        return cached
+    if system._w0 is not None:
+        return system._w0
     w = identity(system)
     n_pos = system.n_pos
     while True:
@@ -286,6 +285,23 @@ class GroupEnumeration:
         return np.nonzero(mask)[0]
 
 
+def group_cap() -> int:
+    """The enumeration cap: COXABS_MAX_GROUP when set, else the default.
+
+    Raises ValueError, naming the variable, unless it is a positive integer.
+    """
+    raw = os.environ.get("COXABS_MAX_GROUP")
+    if raw is None:
+        return DEFAULT_GROUP_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"COXABS_MAX_GROUP must be a positive integer, got {raw!r}")
+    return cap
+
+
 def enumerate_group(system: RootSystem, limit: int | None = None) -> GroupEnumeration:
     """Enumerate the whole group, subject to a size cap.
 
@@ -296,7 +312,7 @@ def enumerate_group(system: RootSystem, limit: int | None = None) -> GroupEnumer
     if system._group is not None:
         return system._group
     if limit is None:
-        limit = int(os.environ.get("COXABS_MAX_GROUP", DEFAULT_GROUP_CAP))
+        limit = group_cap()
     limit = min(limit, HARD_GROUP_CAP)
     simple_perms = [system.reflection_table[t] for t in system.simple_idx]
     ident = np.arange(system.n_roots, dtype=np.int32)

@@ -1,71 +1,34 @@
-"""Exact arithmetic in the real number field generated by sqrt(2), sqrt(3), sqrt(5).
+"""Exact arithmetic in the real quadratic field Q(phi), phi = (1 + sqrt 5)/2.
 
-Every value is a rational combination of the eight basis radicals
+Every value is a + b*phi with rational a and b, stored in the basis
+{1, phi}; products fold back into that basis through phi^2 = phi + 1.
+With Cartan-normalized roots every finite Coxeter group with bond labels
+up to 6 has its bilinear form, Cartan matrix and roots in this field:
+the crystallographic types need only rationals, and H3, H4 and I2(5)
+need cos(pi/5) = phi/2.
 
-    1, sqrt(2), sqrt(3), sqrt(6), sqrt(5), sqrt(10), sqrt(15), sqrt(30),
-
-indexed by a 3-bit mask over the primes (2, 3, 5): bit 0 set means the
-radicand is divisible by 2, bit 1 by 3, bit 2 by 5.  Products of basis
-elements follow the rule
-
-    e_i * e_j = f(i & j) * e_(i ^ j)
-
-where f(m) is the radicand of mask m (the shared primes multiply out to a
-rational factor).  This field contains every cos(pi/m) for m in
-{1, 2, 3, 4, 5, 6}, which is exactly what the geometric representation of a
-finite Coxeter group with bond labels up to 6 requires.
-
-Comparisons are exact: a value's sign is decided by refining integer
-interval bounds on the radicals until the interval for the sum excludes
-zero, which must happen because nonzero field elements are nonzero reals.
+Comparisons are exact: a + b*phi has the sign of 2a + b + b*sqrt(5),
+which is decided by comparing (2a + b)^2 with 5b^2, all rationals.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    from fractions import Fraction as _Q
-
-#: radicand of each basis mask: f(m) = 2^bit0 * 3^bit1 * 5^bit2
-_RADICAND = (1, 2, 3, 6, 5, 10, 15, 30)
-
-_Q0 = _Q(0)
-_Q1 = _Q(1)
-
-# interval bounds on sqrt(radicand), cached per (mask, precision)
-_bound_cache: dict[tuple[int, int], tuple] = {}
-
-
-def _radical_bounds(mask: int, prec: int) -> tuple:
-    """Rational lo <= sqrt(radicand(mask)) <= hi with hi - lo = 2**-prec."""
-    key = (mask, prec)
-    cached = _bound_cache.get(key)
-    if cached is not None:
-        return cached
-    r = _RADICAND[mask]
-    if r == 1:
-        result = (_Q1, _Q1)
-    else:
-        s = math.isqrt(r << (2 * prec))
-        den = 1 << prec
-        result = (_Q(s, den), _Q(s + 1, den))
-    _bound_cache[key] = result
-    return result
+_Q0 = Fraction(0)
+_Q1 = Fraction(1)
 
 
 class FieldScalar:
-    """An element of Q(sqrt2, sqrt3, sqrt5), stored as 8 exact rationals.
+    """An element a + b*phi of Q(phi), stored as the two rationals (a, b).
 
     Instances are immutable and hashable.  Arithmetic never leaves the
     field; division by an exact zero raises ZeroDivisionError.
 
-    >>> x = FieldScalar.sqrt(5)
-    >>> x * x == FieldScalar.from_rational(5)
+    >>> PHI * PHI == PHI + 1
     True
-    >>> (x - 2).sign(), (x - 3).sign()
+    >>> (PHI - Fraction(8, 5)).sign(), (PHI - Fraction(13, 8)).sign()
     (1, -1)
     """
 
@@ -80,22 +43,14 @@ class FieldScalar:
     @staticmethod
     def from_rational(num, den=1) -> FieldScalar:
         """The rational number num/den as a field element."""
-        return FieldScalar((_Q(num, den), _Q0, _Q0, _Q0, _Q0, _Q0, _Q0, _Q0))
-
-    @staticmethod
-    def sqrt(radicand: int) -> FieldScalar:
-        """sqrt(radicand) for radicand in {1, 2, 3, 5, 6, 10, 15, 30}."""
-        mask = _RADICAND.index(radicand)
-        coords = [_Q0] * 8
-        coords[mask] = _Q1
-        return FieldScalar(tuple(coords))
+        return FieldScalar((Fraction(num, den), _Q0))
 
     @staticmethod
     def coerce(value) -> FieldScalar:
         """Accept a FieldScalar, int, or exact rational."""
         if isinstance(value, FieldScalar):
             return value
-        return FieldScalar((_Q(value), _Q0, _Q0, _Q0, _Q0, _Q0, _Q0, _Q0))
+        return FieldScalar((Fraction(value), _Q0))
 
     # ------------------------------------------------------------------
     # structure queries
@@ -106,15 +61,14 @@ class FieldScalar:
 
     @property
     def is_rational(self) -> bool:
-        c = self.coords
-        return not (c[1] or c[2] or c[3] or c[4] or c[5] or c[6] or c[7])
+        return not self.coords[1]
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not (self.coords[0] or self.coords[1])
 
     def __bool__(self) -> bool:
-        return any(self.coords)
+        return bool(self.coords[0] or self.coords[1])
 
     # ------------------------------------------------------------------
     # ring operations
@@ -122,71 +76,61 @@ class FieldScalar:
     def __add__(self, other) -> FieldScalar:
         if not isinstance(other, FieldScalar):
             other = FieldScalar.coerce(other)
-        a, b = self.coords, other.coords
-        return FieldScalar(tuple(a[i] + b[i] for i in range(8)))
+        a, b = self.coords
+        c, d = other.coords
+        return FieldScalar((a + c, b + d))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> FieldScalar:
         if not isinstance(other, FieldScalar):
             other = FieldScalar.coerce(other)
-        a, b = self.coords, other.coords
-        return FieldScalar(tuple(a[i] - b[i] for i in range(8)))
+        a, b = self.coords
+        c, d = other.coords
+        return FieldScalar((a - c, b - d))
 
     def __rsub__(self, other) -> FieldScalar:
         return FieldScalar.coerce(other) - self
 
     def __neg__(self) -> FieldScalar:
-        return FieldScalar(tuple(-c for c in self.coords))
+        a, b = self.coords
+        return FieldScalar((-a, -b))
 
     def __mul__(self, other) -> FieldScalar:
         if not isinstance(other, FieldScalar):
-            # rational scaling, no basis mixing
-            q = _Q(other)
-            if not q:
-                return ZERO
-            return FieldScalar(tuple(c * q for c in self.coords))
-        acc = [_Q0] * 8
-        b = other.coords
-        for i, ai in enumerate(self.coords):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                acc[i ^ j] += ai * bj * _RADICAND[i & j]
-        return FieldScalar(tuple(acc))
+            other = FieldScalar.coerce(other)
+        a, b = self.coords
+        c, d = other.coords
+        if not d:
+            return FieldScalar((a * c, b * c))
+        if not b:
+            return FieldScalar((a * c, a * d))
+        # (a + b phi)(c + d phi) with phi^2 = phi + 1
+        bd = b * d
+        return FieldScalar((a * c + bd, a * d + b * c + bd))
 
     __rmul__ = __mul__
 
     def invert(self) -> FieldScalar:
-        """Multiplicative inverse.  Raises ZeroDivisionError on zero."""
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero field element")
-        # Solve (self * x) = 1 as an 8x8 rational linear system.  Column j
-        # of the multiplication matrix is self * e_j expressed in the basis.
-        m = [[_Q0] * 9 for _ in range(8)]
-        for i, ai in enumerate(self.coords):
-            if not ai:
-                continue
-            for j in range(8):
-                m[i ^ j][j] += ai * _RADICAND[i & j]
-        m[0][8] = _Q1
-        for col in range(8):
-            pivot = next(r for r in range(col, 8) if m[r][col])
-            m[col], m[pivot] = m[pivot], m[col]
-            inv = 1 / m[col][col]
-            m[col] = [v * inv for v in m[col]]
-            for r in range(8):
-                if r != col and m[r][col]:
-                    f = m[r][col]
-                    m[r] = [m[r][k] - f * m[col][k] for k in range(9)]
-        return FieldScalar(tuple(m[r][8] for r in range(8)))
+        """Multiplicative inverse.  Raises ZeroDivisionError on zero.
+
+        The Galois conjugate of a + b*phi is (a + b) - b*phi, and their
+        product is the rational norm a^2 + ab - b^2, nonzero unless both
+        coordinates are, since sqrt(5) is irrational.
+        """
+        a, b = self.coords
+        if not b:
+            if not a:
+                raise ZeroDivisionError("inverse of zero field element")
+            return FieldScalar((1 / a, _Q0))
+        norm = a * a + a * b - b * b
+        return FieldScalar(((a + b) / norm, -b / norm))
 
     def __truediv__(self, other) -> FieldScalar:
         if isinstance(other, FieldScalar):
             return self * other.invert()
-        return FieldScalar(tuple(c / _Q(other) for c in self.coords))
+        q = Fraction(other)
+        return FieldScalar((self.coords[0] / q, self.coords[1] / q))
 
     def __rtruediv__(self, other) -> FieldScalar:
         return FieldScalar.coerce(other) * self.invert()
@@ -195,34 +139,26 @@ class FieldScalar:
     # exact comparisons
 
     def sign(self) -> int:
-        """-1, 0, or +1, decided exactly."""
-        coords = self.coords
-        if not any(coords):
-            return 0
-        prec = 16
-        while True:
-            lo = hi = _Q0
-            for i, c in enumerate(coords):
-                if not c:
-                    continue
-                l, h = _radical_bounds(i, prec)
-                if c > 0:
-                    lo += c * l
-                    hi += c * h
-                else:
-                    lo += c * h
-                    hi += c * l
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            prec *= 2
+        """-1, 0, or +1, decided exactly.
+
+        2(a + b*phi) = p + b*sqrt(5) with p = 2a + b.  When p and b do not
+        have opposite signs the sum has their sign; otherwise the larger
+        of p^2 and 5b^2 decides.
+        """
+        a, b = self.coords
+        p = 2 * a + b
+        if not b:
+            return (p > 0) - (p < 0)
+        if p * b >= 0:
+            return 1 if b > 0 else -1
+        gap = p * p - 5 * b * b
+        return 1 if (gap > 0) == (p > 0) else -1
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldScalar):
             return self.coords == other.coords
-        if isinstance(other, (int,)) or type(other) is type(_Q0):
-            return self.is_rational and self.coords[0] == other
+        if isinstance(other, (int, Fraction)):
+            return not self.coords[1] and self.coords[0] == other
         return NotImplemented
 
     def __hash__(self):
@@ -244,46 +180,32 @@ class FieldScalar:
     # conversions and display
 
     def __float__(self) -> float:
-        total = 0.0
-        for i, c in enumerate(self.coords):
-            if c:
-                total += float(c) * math.sqrt(_RADICAND[i])
-        return total
+        a, b = self.coords
+        return float(a) + float(b) * (1 + math.sqrt(5)) / 2
 
     def __repr__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coords):
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif c == 1:
-                terms.append(f"sqrt{_RADICAND[i]}")
-            elif c == -1:
-                terms.append(f"-sqrt{_RADICAND[i]}")
-            else:
-                terms.append(f"{c}*sqrt{_RADICAND[i]}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
+        a, b = self.coords
+        if not b:
+            return str(a)
+        phi = "phi" if b == 1 else "-phi" if b == -1 else f"{b}*phi"
+        if not a:
+            return phi
+        return f"{a} - {phi[1:]}" if phi.startswith("-") else f"{a} + {phi}"
 
 
 ZERO = FieldScalar.from_rational(0)
 ONE = FieldScalar.from_rational(1)
 HALF = FieldScalar.from_rational(1, 2)
-SQRT2 = FieldScalar.sqrt(2)
-SQRT3 = FieldScalar.sqrt(3)
-SQRT5 = FieldScalar.sqrt(5)
+PHI = FieldScalar((_Q0, _Q1))
 
 
 def cos_pi_over(m: int) -> FieldScalar:
-    """Exact cos(pi/m) for integer m with 1 <= m <= 6.
+    """Exact cos(pi/m) for m in {1, 2, 3, 5}.
 
-    cos(pi/5) = (1 + sqrt5)/4 is the golden-ratio half; the other values
-    are the familiar 0, 1/2, sqrt2/2, sqrt3/2 and the degenerate -1.
+    cos(pi/5) = phi/2 is the golden-ratio half; the others are the
+    degenerate -1, then 0 and 1/2.  cos(pi/4) = sqrt2/2 and
+    cos(pi/6) = sqrt3/2 lie outside Q(phi): Cartan-normalized roots never
+    need them, since a bond of 4 or 6 joins roots of different lengths.
     """
     if m == 1:
         return -ONE
@@ -291,10 +213,6 @@ def cos_pi_over(m: int) -> FieldScalar:
         return ZERO
     if m == 3:
         return HALF
-    if m == 4:
-        return SQRT2 / 2
     if m == 5:
-        return (ONE + SQRT5) / 4
-    if m == 6:
-        return SQRT3 / 2
-    raise ValueError(f"cos(pi/{m}) is outside the supported field")
+        return PHI / 2
+    raise ValueError(f"cos(pi/{m}) is outside the field Q(phi)")

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the radical field: echelon forms and subspaces.
+"""Exact linear algebra over Q(phi): echelon forms and subspaces.
 
 Matrices are lists of rows of FieldScalar.  Elimination is fraction free
 (cross multiplication instead of division) so intermediate entries stay
@@ -147,30 +147,7 @@ def is_positive_definite(gram) -> bool:
 
 def rank_rational(matrix) -> int:
     """Rank of a matrix of plain rationals (fast path, no field overhead)."""
-    rows = [list(row) for row in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        p = rows[r][col]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                ri, rr = rows[i], rows[r]
-                rows[i] = [p * ri[k] - f * rr[k] for k in range(ncols)]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    return len(_forward_eliminate([list(row) for row in matrix]))
 
 
 class Subspace:

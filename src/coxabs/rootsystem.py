@@ -1,12 +1,15 @@
 """Finite Coxeter systems and their root systems, built exactly.
 
-The geometric representation of a Coxeter matrix (m_ij) puts the simple
-roots at unit vectors with pairwise form values -cos(pi/m_ij).  Bond
-labels up to 6 keep every value inside the radical field, so the whole
-root system is computed exactly: roots are tuples of FieldScalar, each
-reflection becomes a permutation of root indices, and all later questions
-about the group reduce to integer permutation work plus exact rank
-computations.
+The roots are Cartan-normalized (Humphreys, Reflection Groups and Coxeter
+Groups, 1990, chapter 2): across a bond m of 4 or 6 the squared lengths
+of the two simple roots differ by the factor 2 or 3, and are equal
+otherwise.  Then B(a_i, a_j) = -cos(pi/m) |a_i| |a_j| is a rational
+multiple of the shorter squared length, or phi/2 times it for m = 5, so
+the whole root system lies in Q(phi) and the crystallographic types need
+only integers.  Roots are tuples of FieldScalar in the simple-root basis,
+each reflection becomes a permutation of root indices, and all later
+questions about the group reduce to integer permutation work plus exact
+rank computations.
 
 Numbering conventions for the named types:
 
@@ -17,17 +20,20 @@ Numbering conventions for the named types:
     F_4   path with bonds 3, 4, 3
     H_3, H_4   path with the 5-bond between s1 and s2
     I2(m) two generators with bond m
+
+Across a 4- or 6-bond the later generator gets the longer root.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import re
+from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
-from .field import FieldScalar, ZERO, ONE, cos_pi_over
+from .field import FieldScalar, ZERO, ONE, HALF, PHI
 
 #: hard limit on the number of roots a build will enumerate
 ROOT_CAP = 1_000_000
@@ -42,7 +48,7 @@ class InfiniteTypeError(CoxeterError):
 
 
 class UnsupportedBondError(CoxeterError):
-    """A bond label above 6 cannot be represented in the radical field."""
+    """A bond label above 6 cannot be represented in the field Q(phi)."""
 
 
 class CapExceededError(CoxeterError):
@@ -236,34 +242,92 @@ def named_coxeter_matrix(label) -> CoxeterMatrix:
 # ----------------------------------------------------------------------
 # root systems
 
+#: per bond m: the squared-length ratio of the two simple roots across it,
+#: and k_m with B(a_i, a_j) = -k_m * min(B(a_i, a_i), B(a_j, a_j))
+_BOND_FORM = {
+    2: (1, ZERO),
+    3: (1, HALF),
+    4: (2, ONE),
+    5: (1, PHI / 2),
+    6: (3, FieldScalar.from_rational(3, 2)),
+}
+
+#: bond m by 4 cos^2(pi/m) = 4 B(a, b)^2 / (B(a, a) B(b, b)) = 4 k_m^2 / ratio
+_BOND_OF_COS2 = {4 * k * k / ratio: m for m, (ratio, k) in _BOND_FORM.items()}
+
+
+def _squared_lengths(matrix: CoxeterMatrix) -> list[Fraction]:
+    """Squared lengths of the simple roots, Cartan-normalized.
+
+    The first generator of each component gets 1, and the lengths spread
+    along the bonds of the Coxeter graph with the ratios of _BOND_FORM,
+    the later generator of a bond getting the longer root.  The graph of
+    a finite type is a forest; a cycle whose ratios conflict is rejected
+    as infinite (every cycle of bonds is).
+    """
+    n = matrix.rank
+    lengths: list = [None] * n
+    for first in range(n):
+        if lengths[first] is not None:
+            continue
+        lengths[first] = Fraction(1)
+        stack = [first]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                m = matrix.entry(i, j)
+                if j == i or m == 2:
+                    continue
+                ratio = _BOND_FORM[m][0]
+                want = lengths[i] * ratio if j > i else lengths[i] / ratio
+                if lengths[j] is None:
+                    lengths[j] = want
+                    stack.append(j)
+                elif lengths[j] != want:
+                    raise InfiniteTypeError(
+                        "root lengths conflict around a cycle of the "
+                        "Coxeter graph: this matrix defines an infinite group"
+                    )
+    return lengths
+
 
 class RootSystem:
     """The full root system of a finite Coxeter matrix, with exact roots.
 
-    Positive roots come first (indices 0 .. n_pos-1), sorted by height and
-    then lexicographically by coordinates; index i + n_pos is the negative
-    of index i.  reflection_table[t] is the permutation of all root
-    indices induced by the reflection along positive root t.
+    gram is the bilinear form on the simple roots, and roots are given in
+    the simple-root basis.  Positive roots come first (indices 0 ..
+    n_pos-1), sorted by height and then lexicographically by coordinates;
+    index i + n_pos is the negative of index i.  reflection_table[t] is
+    the permutation of all root indices induced by the reflection along
+    positive root t.
     """
 
     def __init__(self, matrix: CoxeterMatrix, label: TypeLabel | None = None):
         if matrix.max_bond > 6:
             raise UnsupportedBondError(
-                "bond labels above 6 leave the radical field; "
+                "bond labels above 6 leave the field Q(phi); "
                 "use the symbolic dihedral model for I2(m), m > 6"
             )
         self.matrix = matrix
         self.label = label
         n = matrix.rank
         self.rank = n
+        lengths = _squared_lengths(matrix)
         gram = [
             [
-                ONE if i == j else -cos_pi_over(matrix.entry(i, j))
+                FieldScalar.from_rational(lengths[i])
+                if i == j
+                else -_BOND_FORM[matrix.entry(i, j)][1] * min(lengths[i], lengths[j])
                 for j in range(n)
             ]
             for i in range(n)
         ]
         self.gram = tuple(tuple(row) for row in gram)
+        # Cartan entries 2 B(a_s, a_j) / B(a_s, a_s), the nonzero ones per s
+        self._cartan = tuple(
+            tuple((j, g * (2 / lengths[s])) for j, g in enumerate(gram[s]) if g)
+            for s in range(n)
+        )
         if not linalg.is_positive_definite(gram):
             raise InfiniteTypeError(
                 "the bilinear form is not positive definite: "
@@ -282,26 +346,26 @@ class RootSystem:
             simple_idx.append(self.root_index[unit])
         self.simple_idx = tuple(simple_idx)
         self.reflection_table = self._build_reflection_table()
-        self.all_rational = matrix.max_bond <= 3
+        self.all_rational = all(c.is_rational for r in positives for c in r)
         # per-system caches filled lazily by other modules
         self._orth: np.ndarray | None = None
         self._bond_cache: dict[tuple[int, int], int] = {}
         self._subsystem_cache: dict = {}
         self._ell_t_cache: dict[bytes, int] = {}
         self._group = None
-        self._parabolic_masks = None
+        self._w0 = None
 
     # -- construction ---------------------------------------------------
 
     def _reflect_coords(self, s: int, root: tuple) -> tuple:
         """Apply the simple reflection s to a root given by coordinates."""
-        g = self.gram[s]
         b = ZERO
-        for j, c in enumerate(root):
+        for j, a in self._cartan[s]:
+            c = root[j]
             if c:
-                b = b + g[j] * c
+                b = b + a * c
         new = list(root)
-        new[s] = new[s] - (b + b)
+        new[s] = new[s] - b
         return tuple(new)
 
     def _orbit_closure(self) -> list:
@@ -401,15 +465,18 @@ class RootSystem:
         """Bond label m for two roots at a non-acute angle.
 
         Valid when the two roots can both belong to one simple system, so
-        B(a, b) = -cos(pi/m); raises RecognitionError otherwise.
+        B(a, b) = -cos(pi/m) |a| |b|, read off as 4 cos^2(pi/m); raises
+        RecognitionError otherwise.
         """
         key = (i, j) if i <= j else (j, i)
         cached = self._bond_cache.get(key)
         if cached is not None:
             return cached
         value = self.bilinear(i, j)
-        for m in (2, 3, 4, 5, 6):
-            if value == -cos_pi_over(m):
+        if value.sign() <= 0:
+            cos2 = 4 * value * value / (self.bilinear(i, i) * self.bilinear(j, j))
+            m = _BOND_OF_COS2.get(cos2)
+            if m is not None:
                 self._bond_cache[key] = m
                 return m
         raise RecognitionError(
@@ -427,10 +494,6 @@ class RootSystem:
     # -- constructors ----------------------------------------------------
 
     _named_cache: dict = {}
-
-    @classmethod
-    def build(cls, matrix: CoxeterMatrix, label: TypeLabel | None = None):
-        return cls(matrix, label)
 
     @classmethod
     def named(cls, label) -> "RootSystem":

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from coxabs import cli, verify
 from coxabs.cli import main
 
 
@@ -66,6 +67,13 @@ def test_length_of_w0(capsys):
     assert "l_T (fixed-space rank) = 2" in out
 
 
+def test_length_disagreement_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "dyer_reflection_length", lambda system, word: 3)
+    code, out, _ = run(capsys, "length", "B2", "--word", "s,t,s,t")
+    assert code == 1
+    assert "l_T (deletion oracle) = 3, DISAGREES" in out
+
+
 def test_length_malformed_word(capsys):
     code, _, err = run(capsys, "length", "B2", "--word", "s,q")
     assert code == 2
@@ -126,6 +134,34 @@ def test_lattice_symbolic(capsys):
     assert "LATTICE" in out
 
 
+def test_lattice_disagreement_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "lattice_by_classification", lambda u: False)
+    code, out, _ = run(capsys, "lattice", "H3", "--w0")
+    assert code == 1
+    assert "classification=False agree=False" in out
+
+
+def test_symbolic_lattice_disagreement_exits_1(capsys, monkeypatch):
+    real = cli.dihedral_report
+
+    def disagreeing(m):
+        return {**real(m), "is_lattice_structural": False, "tests_agree": False}
+
+    monkeypatch.setattr(cli, "dihedral_report", disagreeing)
+    code, out, _ = run(capsys, "lattice", "I2(10)", "--w0")
+    assert code == 1
+    assert "structural=False" in out and "agree=False" in out
+
+
+@pytest.mark.parametrize("value", ["many", "0", "-5", "1.5", ""])
+def test_bad_group_cap_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("COXABS_MAX_GROUP", value)
+    code, out, err = run(capsys, "build", "A2")
+    assert code == 2
+    assert out == ""
+    assert "COXABS_MAX_GROUP must be a positive integer" in err
+
+
 def test_classify_table(capsys):
     code, out, _ = run(capsys, "classify", "B3")
     assert code == 0
@@ -169,6 +205,20 @@ def test_verify_single_check_passes(capsys):
     assert code == 0
     assert "PASS" in out
     assert "ALL CHECKS PASSED" in out
+
+
+def test_verify_only_reports_a_crashing_check_as_failed(capsys, monkeypatch):
+    def crash():
+        raise RuntimeError("check exploded")
+
+    monkeypatch.setattr(
+        verify, "ALL_CHECKS", (("B2 Hurwitz orbits", crash, False),)
+    )
+    code, out, _ = run(capsys, "verify", "--only", "hurwitz")
+    assert code == 1
+    assert "FAIL  B2 Hurwitz orbits" in out
+    assert "RuntimeError: check exploded" in out
+    assert "CHECKS FAILED" in out
 
 
 def test_verify_unknown_check_name(capsys):

@@ -1,24 +1,24 @@
-"""Exact arithmetic in the radical field generated by sqrt 2, 3, 5."""
+"""Exact arithmetic in the quadratic field Q(phi), phi = (1 + sqrt 5)/2."""
 
 import math
 import random
 
 import pytest
 
-from coxabs.field import (
-    HALF,
-    ONE,
-    SQRT2,
-    SQRT3,
-    SQRT5,
-    ZERO,
-    FieldScalar,
-    cos_pi_over,
-)
+from coxabs.field import HALF, ONE, PHI, ZERO, FieldScalar, cos_pi_over
+
+SQRT5 = PHI + PHI - ONE
 
 
 def rational(num, den=1):
     return FieldScalar.from_rational(num, den)
+
+
+def fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 def test_rational_round_trip():
@@ -31,8 +31,8 @@ def test_rational_round_trip():
 def test_constants():
     assert ZERO.is_zero
     assert ONE - HALF == HALF
-    assert float(SQRT2) == pytest.approx(math.sqrt(2))
-    assert float(SQRT3) == pytest.approx(math.sqrt(3))
+    assert not PHI.is_rational
+    assert float(PHI) == pytest.approx((1 + math.sqrt(5)) / 2)
     assert float(SQRT5) == pytest.approx(math.sqrt(5))
 
 
@@ -43,54 +43,61 @@ def test_golden_ratio_sums():
     assert a + b == SQRT5 / 2
     # ((1+sqrt5)/4)^2 = (3+sqrt5)/8
     assert a * a == (rational(3) + SQRT5) / 8
+    assert a == PHI / 2
 
 
-def test_radical_products_fold():
-    # sqrt6 * sqrt10 = 2 sqrt15
-    sqrt6 = SQRT2 * SQRT3
-    sqrt10 = SQRT2 * SQRT5
-    assert sqrt6 * sqrt10 == rational(2) * SQRT3 * SQRT5
-    assert SQRT2 * SQRT2 == rational(2)
-    assert SQRT3 * SQRT3 == rational(3)
+def test_phi_powers_fold():
+    # phi^n = F(n) phi + F(n-1), and the conjugate 1 - phi is -1/phi
+    power = ONE
+    for n in range(1, 40):
+        power = power * PHI
+        assert power == fibonacci(n) * PHI + fibonacci(n - 1)
+    assert PHI * (PHI - ONE) == ONE
     assert SQRT5 * SQRT5 == rational(5)
+    assert (ONE - PHI) * PHI == -ONE
 
 
 def test_inversion():
     x = ONE + SQRT5
     assert x.invert() == (SQRT5 - ONE) / 4
     assert x * x.invert() == ONE
-    y = SQRT2 + SQRT3 - SQRT5
+    y = rational(3) - rational(7, 2) * PHI
     assert y * y.invert() == ONE
+    assert rational(2, 3).invert() == rational(3, 2)
     with pytest.raises(ZeroDivisionError):
         ZERO.invert()
 
 
 def test_sign_of_tight_combination():
-    # sqrt2 + sqrt3 - sqrt5 - 1/2 is about 0.4,
-    # small enough to punish sloppy precision handling
-    x = SQRT2 + SQRT3 - SQRT5 - HALF
-    assert x.sign() == 1
-    assert (-x).sign() == -1
+    # 987 - 610 phi = (1 - phi)^15 is about -0.0007, small enough to
+    # punish any rounding in the sign test
+    x = rational(987) - rational(610) * PHI
+    assert x.sign() == -1
+    assert (-x).sign() == 1
     assert (x - x).sign() == 0
-    assert x > ZERO
+    assert x < ZERO
+    # F(n+1) - F(n) phi = (1 - phi)^n alternates in sign
+    for n in range(1, 60):
+        y = rational(fibonacci(n + 1)) - rational(fibonacci(n)) * PHI
+        assert y.sign() == (-1) ** n
 
 
 def test_cos_pi_over_table():
+    assert cos_pi_over(1) == -ONE
     assert cos_pi_over(2) == ZERO
     assert cos_pi_over(3) == HALF
-    assert cos_pi_over(4) == SQRT2 / 2
     assert cos_pi_over(5) == (ONE + SQRT5) / 4
-    assert cos_pi_over(6) == SQRT3 / 2
 
 
 def test_cos_pi_over_rejects_out_of_field_bonds():
-    with pytest.raises(Exception):
-        cos_pi_over(7)
+    for m in (4, 6, 7):
+        with pytest.raises(ValueError):
+            cos_pi_over(m)
 
 
 def test_comparison_matches_floats():
     rng = random.Random(11)
-    values = [ZERO, ONE, HALF, SQRT2, SQRT3, SQRT5]
+    values = [ZERO, ONE, HALF, PHI, SQRT5, PHI - ONE]
     for _ in range(200):
         x = values[rng.randrange(len(values))] - values[rng.randrange(len(values))]
         y = values[rng.randrange(len(values))] / rng.randint(1, 3)
@@ -100,11 +107,11 @@ def test_comparison_matches_floats():
 
 def test_coerce_accepts_ints_and_scalars():
     assert FieldScalar.coerce(2) == rational(2)
-    assert FieldScalar.coerce(SQRT2) is SQRT2
+    assert FieldScalar.coerce(PHI) is PHI
     assert rational(1, 2) + 1 == rational(3, 2)
-    assert 2 * SQRT2 == SQRT2 + SQRT2
+    assert 2 * PHI == PHI + PHI
 
 
 def test_hash_consistent_with_eq():
     assert hash(ONE + ONE) == hash(rational(2))
-    assert len({SQRT2 / 2, cos_pi_over(4)}) == 1
+    assert len({PHI / 2, cos_pi_over(5)}) == 1

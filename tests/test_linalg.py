@@ -1,6 +1,6 @@
-"""Exact linear algebra over the radical field."""
+"""Exact linear algebra over Q(phi)."""
 
-from coxabs.field import HALF, ONE, SQRT2, ZERO, FieldScalar
+from coxabs.field import HALF, ONE, PHI, ZERO, FieldScalar
 from coxabs.linalg import (
     Subspace,
     is_positive_definite,
@@ -20,8 +20,10 @@ def test_rank_basic():
     assert rank([[ONE, ZERO], [ZERO, ONE]]) == 2
     assert rank([[ONE, ONE], [ONE, ONE]]) == 1
     assert rank([[ZERO, ZERO]]) == 0
-    # irrational dependency: row2 = sqrt2 * row1
-    assert rank([[ONE, SQRT2], [SQRT2, rational(2)]]) == 1
+    # irrational dependency: row2 = phi * row1, since phi^2 = phi + 1
+    assert rank([[ONE, PHI], [PHI, PHI + ONE]]) == 1
+    # and a near miss: F(16)/F(15) is within 1e-6 of phi
+    assert rank([[ONE, PHI], [rational(610), rational(987)]]) == 2
 
 
 def test_rref_identity_block():
@@ -50,9 +52,16 @@ def test_mat_mul_vec():
 
 
 def test_positive_definite_gram():
-    # the rank-2 bond-4 gram matrix
-    gram = [[ONE, -SQRT2 / 2], [-SQRT2 / 2, ONE]]
+    # the Cartan-normalized bond-4 gram matrix, and the bond-5 one
+    assert is_positive_definite([[ONE, -ONE], [-ONE, rational(2)]])
+    gram = [[ONE, -PHI / 2], [-PHI / 2, ONE]]
     assert is_positive_definite(gram)
+    # bond 5 next to bond 3 in rank 3 (H3) is definite, a second
+    # bond 5 instead is not
+    h3 = [[ONE, -PHI / 2, ZERO], [-PHI / 2, ONE, -HALF], [ZERO, -HALF, ONE]]
+    assert is_positive_definite(h3)
+    h5h5 = [[ONE, -PHI / 2, ZERO], [-PHI / 2, ONE, -PHI / 2], [ZERO, -PHI / 2, ONE]]
+    assert not is_positive_definite(h5h5)
 
 
 def test_semidefinite_gram_rejected():
@@ -110,6 +119,7 @@ def test_subspace_equality_ignores_basis_choice():
 
 
 def test_subspace_irrational_line():
-    line = Subspace.from_vectors([[ONE, SQRT2]], 2)
-    assert line.contains([SQRT2, rational(2)])
-    assert not line.contains([SQRT2, rational(2) + ONE])
+    line = Subspace.from_vectors([[ONE, PHI]], 2)
+    assert line.contains([PHI, PHI + ONE])
+    assert not line.contains([PHI, PHI + HALF])
+    assert not line.contains([rational(610), rational(987)])

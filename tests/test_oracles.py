@@ -127,7 +127,7 @@ def test_hurwitz_single_orbit_for_a_rotation():
 
 def test_hurwitz_commuting_product_is_one_orbit():
     matrix = CoxeterMatrix.from_rows([[1, 2], [2, 1]])
-    system = RootSystem.build(matrix)
+    system = RootSystem(matrix)
     w0 = longest_element(system)
     expressions = t_reduced_expressions(w0)
     assert expressions == [(0, 1), (1, 0)]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from coxabs.field import ONE, ZERO, cos_pi_over
+from coxabs.field import HALF, ONE, PHI, ZERO, FieldScalar
 from coxabs.rootsystem import (
     CoxeterMatrix,
     InfiniteTypeError,
@@ -80,27 +80,81 @@ def test_affine_matrix_is_rejected():
     # the triangle with all bonds 3 has a semidefinite form
     rows = [[1, 3, 3], [3, 1, 3], [3, 3, 1]]
     with pytest.raises(InfiniteTypeError):
-        RootSystem.build(CoxeterMatrix.from_rows(rows))
+        RootSystem(CoxeterMatrix.from_rows(rows))
+
+
+def test_cycle_with_a_four_bond_is_rejected():
+    # root lengths cannot be consistent around this triangle, and its
+    # form is indefinite anyway
+    for rows in (
+        [[1, 3, 4], [3, 1, 3], [4, 3, 1]],
+        [[1, 4, 3], [4, 1, 3], [3, 3, 1]],
+        [[1, 3, 3], [3, 1, 4], [3, 4, 1]],
+    ):
+        with pytest.raises(InfiniteTypeError):
+            RootSystem(CoxeterMatrix.from_rows(rows))
 
 
 def test_bond_seven_is_rejected_geometrically():
     rows = [[1, 7], [7, 1]]
     with pytest.raises(UnsupportedBondError):
-        RootSystem.build(CoxeterMatrix.from_rows(rows))
+        RootSystem(CoxeterMatrix.from_rows(rows))
 
 
-def test_simple_roots_are_unit_and_at_the_right_angle():
-    system = RootSystem.named("B2")
-    s0, s1 = system.simple_idx
-    assert system.bilinear(s0, s0) == ONE
-    assert system.bilinear(s1, s1) == ONE
-    assert system.bilinear(s0, s1) == -cos_pi_over(4)
+#: cos^2(pi/m), which lies in Q(phi) for every bond m up to 6
+COS_SQUARED = {
+    2: ZERO,
+    3: FieldScalar.from_rational(1, 4),
+    4: HALF,
+    5: (PHI + ONE) / 4,
+    6: FieldScalar.from_rational(3, 4),
+}
 
 
-def test_all_roots_are_unit_vectors():
-    system = RootSystem.named("H3")
-    for i in range(system.n_roots):
-        assert system.bilinear(i, i) == ONE
+@pytest.mark.parametrize(
+    "name", [k[0] for k in KNOWN_SYSTEMS] + ["B5", "D6", "E7", "E8"]
+)
+def test_simple_pairs_reproduce_the_coxeter_matrix(name):
+    # B(a, b)^2 = cos^2(pi/m) B(a, a) B(b, b), with B(a, b) < 0 for m > 2,
+    # holds for every normalization of the simple roots
+    system = RootSystem.named(name)
+    for s, a in enumerate(system.simple_idx):
+        assert system.bilinear(a, a) > ZERO
+        for t, b in enumerate(system.simple_idx):
+            if s == t:
+                continue
+            m = system.matrix.entry(s, t)
+            value = system.bilinear(a, b)
+            assert value * value == (
+                COS_SQUARED[m] * system.bilinear(a, a) * system.bilinear(b, b)
+            )
+            assert value.sign() == (-1 if m > 2 else 0)
+            assert system.bond_between(a, b) == m
+
+
+@pytest.mark.parametrize("name", ["H3", "B3", "F4", "I2(6)", "D4"])
+def test_roots_keep_the_squared_length_of_their_orbit(name):
+    # every root is W-conjugate to a simple root of the same squared
+    # length; B_n, F4 and G2 have two lengths, the others one
+    system = RootSystem.named(name)
+    perms = [system.reflection_table[a] for a in system.simple_idx]
+    reached = set()
+    for a in system.simple_idx:
+        orbit = {a}
+        frontier = [a]
+        while frontier:
+            i = frontier.pop()
+            for perm in perms:
+                j = int(perm[i])
+                if j not in orbit:
+                    orbit.add(j)
+                    frontier.append(j)
+        for i in orbit:
+            assert system.bilinear(i, i) == system.bilinear(a, a)
+        reached |= orbit
+    assert reached == set(range(system.n_roots))
+    lengths = {system.bilinear(i, i) for i in range(system.n_roots)}
+    assert len(lengths) == (2 if name[0] in "BFI" else 1)
 
 
 def test_negation_pairs_roots():
