@@ -8,7 +8,11 @@ with tens of thousands of elements.
 Two exact length functions live here.  The word length l_S(w) counts the
 positive roots sent negative.  The reflection length l_T(w) is computed
 from the geometric action: it equals rank(M_w - Id), the codimension of
-the fixed space (results are memoized per system).
+the fixed space, and is memoized per system.  The rank is taken on plain
+ints: roots lie in Z^n, or in Z[phi]^n embedded as integer rows over Q
+(RootSystem.int_rows), and linalg.rank_rational eliminates them by
+Bareiss.  The FieldScalar matrix, fixed space and moved space are the
+reference that the tests and verify compare against.
 """
 
 from __future__ import annotations
@@ -140,25 +144,26 @@ class Element:
         return Subspace.from_vectors(cols, self.system.rank)
 
     def reflection_length(self) -> int:
-        """l_T(w) = rank(M_w - Id), memoized per system."""
+        """l_T(w) = rank(M_w - Id), memoized per system.
+
+        The rows w(a_j) - a_j of the transpose are differences of the
+        integer root rows, so the rank is taken over Q on plain ints and
+        divided by the degree of the coordinate ring.
+        """
         if self._ell_t >= 0:
             return self._ell_t
-        cache = self.system._ell_t_cache
+        sys = self.system
+        cache = sys._ell_t_cache
         key = self.perm.tobytes()
         val = cache.get(key)
         if val is None:
-            if self.system.all_rational:
-                sys = self.system
-                m = []
-                for i in range(sys.rank):
-                    row = []
-                    for j in range(sys.rank):
-                        q = sys.roots[int(self.perm[sys.simple_idx[j]])][i].rational_part
-                        row.append(q - 1 if i == j else q)
-                    m.append(row)
-                val = linalg.rank_rational(m)
-            else:
-                val = linalg.rank(self._matrix_minus_id())
+            rows = sys.int_rows
+            perm = self.perm
+            m = []
+            for s in sys.simple_idx:
+                for image, simple in zip(rows[perm[s]], rows[s]):
+                    m.append([a - b for a, b in zip(image, simple)])
+            val = linalg.rank_rational(m) // sys.int_degree
             cache[key] = val
         self._ell_t = val
         return val
@@ -219,12 +224,10 @@ def check_T_reduced(system: RootSystem, reflection_indices) -> bool:
     the reflections are linearly independent.
     """
     idx = list(reflection_indices)
-    rows = [system.roots[t if t < system.n_pos else t - system.n_pos] for t in idx]
-    if len(rows) > system.rank:
+    if len(idx) > system.rank:
         return False
-    if system.all_rational:
-        return linalg.rank_rational([[c.rational_part for c in r] for r in rows]) == len(rows)
-    return linalg.rank(rows) == len(rows)
+    rows = [row for t in idx for row in system.int_rows[t]]
+    return linalg.rank_rational(rows) == len(rows)
 
 
 # ----------------------------------------------------------------------

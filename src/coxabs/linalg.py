@@ -4,10 +4,14 @@ Matrices are lists of rows of FieldScalar.  Elimination is fraction free
 (cross multiplication instead of division) so intermediate entries stay
 cheap; canonical forms get one normalization pass at the end.  Subspaces
 are kept in reduced row echelon form, which makes equality a tuple
-comparison and containment a rank check.
+comparison and containment a rank check.  The rank over Q of ints and
+rationals, behind every reflection length, is a separate Bareiss
+elimination on Python ints (rank_rational).
 """
 
 from __future__ import annotations
+
+import math
 
 from .field import FieldScalar, ZERO, ONE
 
@@ -145,9 +149,50 @@ def is_positive_definite(gram) -> bool:
     return True
 
 
+def _integer_row(row) -> list[int]:
+    """The row scaled by the lcm of its denominators, as Python ints."""
+    den = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
 def rank_rational(matrix) -> int:
-    """Rank of a matrix of plain rationals (fast path, no field overhead)."""
-    return len(_forward_eliminate([list(row) for row in matrix]))
+    """Exact rank of a matrix of ints or rationals, over Q.
+
+    Bareiss elimination (Math. Comp. 22, 1968) on Python ints: each row is
+    first scaled to integers, and every update divides exactly by the
+    previous pivot, so the entries stay minors of the input and never need
+    a gcd.  Rows with a zero in the pivot column are still rescaled by
+    p / prev, which keeps the later divisions exact.
+    """
+    # a row of ints sums to an int, a Fraction anywhere makes the sum one
+    rows = [row if type(sum(row)) is int else _integer_row(row) for row in matrix]
+    rows = [row for row in rows if any(row)]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    prev = 1
+    r = 0
+    for col in range(ncols):
+        for i in range(r, len(rows)):
+            if rows[i][col]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        top = rows[r]
+        p = top[col]
+        for i in range(r + 1, len(rows)):
+            row = rows[i]
+            f = row[col]
+            if f:
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+            elif p != prev:
+                rows[i] = [p * a // prev for a in row]
+        prev = p
+        r += 1
+        if r == len(rows):
+            break
+    return r
 
 
 class Subspace:

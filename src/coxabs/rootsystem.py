@@ -35,8 +35,9 @@ import numpy as np
 from . import linalg
 from .field import FieldScalar, ZERO, ONE, HALF, PHI
 
-#: hard limit on the number of roots a build will enumerate
-ROOT_CAP = 1_000_000
+#: largest reflection table (n_pos x n_roots int32 entries) a build will
+#: allocate, in bytes: A100 needs about 204 MB, A107 is the last A_n admitted
+TABLE_CAP_BYTES = 256 * 2**20
 
 
 class CoxeterError(Exception):
@@ -291,6 +292,44 @@ def _squared_lengths(matrix: CoxeterMatrix) -> list[Fraction]:
     return lengths
 
 
+def _check_table_bytes(n_roots: int) -> None:
+    """Refuse a build whose reflection table would pass TABLE_CAP_BYTES."""
+    size = (n_roots // 2) * n_roots * 4
+    if size > TABLE_CAP_BYTES:
+        raise CapExceededError(
+            f"a system with {n_roots} or more roots needs a reflection table "
+            f"of at least {size} bytes, over the cap of {TABLE_CAP_BYTES}"
+        )
+
+
+def _integer_rows(roots) -> tuple[tuple, int]:
+    """Each root as integer rows over Q, and the degree of its coordinate ring.
+
+    With every coordinate in Z a root is its own single row (degree 1).
+    Otherwise a root x gives the two rows x and phi*x, each coordinate
+    written on the basis {1, phi}: a coordinate a + b*phi puts [a, b] in
+    the first row and [b, a + b] in the second, the matrix of
+    multiplication by a + b*phi.  Stacked rows then have twice their rank
+    over Q(phi) as their rank over Q (degree 2).
+    """
+    for root in roots:
+        for c in root:
+            if any(q.denominator != 1 for q in c.coords):
+                raise RecognitionError(
+                    f"root coordinate {c} is not in Z[phi]; "
+                    "Cartan-normalized roots must be integral"
+                )
+    pairs = [[(int(c.coords[0]), int(c.coords[1])) for c in root] for root in roots]
+    if not any(b for root in pairs for _, b in root):
+        return tuple((tuple(a for a, _ in root),) for root in pairs), 1
+    rows = []
+    for root in pairs:
+        low = tuple(x for a, b in root for x in (a, b))
+        high = tuple(x for a, b in root for x in (b, a + b))
+        rows.append((low, high))
+    return tuple(rows), 2
+
+
 class RootSystem:
     """The full root system of a finite Coxeter matrix, with exact roots.
 
@@ -299,7 +338,8 @@ class RootSystem:
     n_pos-1), sorted by height and then lexicographically by coordinates;
     index i + n_pos is the negative of index i.  reflection_table[t] is
     the permutation of all root indices induced by the reflection along
-    positive root t.
+    positive root t.  int_rows[i] holds root i as int_degree integer rows
+    (see _integer_rows), the input of the exact integer rank.
     """
 
     def __init__(self, matrix: CoxeterMatrix, label: TypeLabel | None = None):
@@ -346,7 +386,7 @@ class RootSystem:
             simple_idx.append(self.root_index[unit])
         self.simple_idx = tuple(simple_idx)
         self.reflection_table = self._build_reflection_table()
-        self.all_rational = all(c.is_rational for r in positives for c in r)
+        self.int_rows, self.int_degree = _integer_rows(self.roots)
         # per-system caches filled lazily by other modules
         self._orth: np.ndarray | None = None
         self._bond_cache: dict[tuple[int, int], int] = {}
@@ -384,10 +424,9 @@ class RootSystem:
                     if img not in seen:
                         seen.add(img)
                         nxt.append(img)
-            if len(seen) > 2 * ROOT_CAP:
-                raise CapExceededError(
-                    f"root enumeration exceeded the cap of {ROOT_CAP}"
-                )
+            # seen only grows, so the table is refused as soon as it must
+            # pass the cap; after the last level the count is exact
+            _check_table_bytes(len(seen))
             frontier = nxt
         positives = []
         for root in seen:

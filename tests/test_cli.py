@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from coxabs import cli, verify
+from coxabs import cli, rootsystem, verify
 from coxabs.cli import main
 
 
@@ -50,6 +50,16 @@ def test_build_bad_matrix_file(capsys, tmp_path):
     code, _, err = run(capsys, "build", str(path))
     assert code == 2
     assert "bad matrix file" in err
+
+
+def test_oversized_reflection_table_exits_2(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "matrix.txt"
+    path.write_text("3\n1 3 2\n3 1 3\n2 3 1\n")
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 100)
+    code, out, err = run(capsys, "build", str(path))
+    assert code == 2
+    assert out == ""
+    assert "over the cap of 100" in err
 
 
 def test_length_with_rank2_letters(capsys):

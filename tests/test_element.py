@@ -1,8 +1,11 @@
 """Group elements as root permutations: words, lengths, enumeration."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from coxabs import linalg
 from coxabs.element import (
     CapExceededError,
     check_T_reduced,
@@ -13,7 +16,8 @@ from coxabs.element import (
     reflection,
     simple_reflection,
 )
-from coxabs.rootsystem import RootSystem
+from coxabs.field import ONE, PHI, ZERO
+from coxabs.rootsystem import RootSystem, named_coxeter_matrix
 
 GROUP_ORDERS = [
     ("A2", 6),
@@ -83,8 +87,9 @@ def test_w0_central_exactly_when_minus_id():
     assert any(int(w0.perm[i]) != a3.negate(i) for i in range(a3.n_roots))
 
 
-def test_reflection_length_equals_moved_space_dimension():
-    system = RootSystem.named("B3")
+@pytest.mark.parametrize("name", ["B3", "H3", "I2(5)", "G2", "F4"])
+def test_reflection_length_equals_moved_space_dimension(name):
+    system = RootSystem.named(name)
     enum = enumerate_group(system)
     for i in range(enum.size):
         w = enum.element(i)
@@ -125,6 +130,54 @@ def test_check_T_reduced():
     sts = from_word(system, [0, 1, 0])
     t_idx = int(np.argmax(sts.perm[: system.n_pos] >= system.n_pos))
     assert check_T_reduced(system, [s0, s1, t_idx]) is False
+
+    # H3 takes the Z[phi] rows
+    system = RootSystem.named("H3")
+    n_pos = system.n_pos
+    simples = list(system.simple_idx)
+    assert check_T_reduced(system, simples)
+    # (1, phi, 0), (phi, 1, 0) and a3 are independent over Q(phi)
+    mixed = [
+        system.root_index[root]
+        for root in [(ONE, PHI, ZERO), (PHI, ONE, ZERO), (ZERO, ZERO, ONE)]
+    ]
+    assert check_T_reduced(system, mixed)
+    # (phi, phi, 0) = phi (a1 + a2) depends on a1 and a2 only over Q(phi)
+    tilted = system.root_index[(PHI, PHI, ZERO)]
+    assert not check_T_reduced(system, simples[:2] + [tilted])
+    # a fourth root, a repeated root, or a root and its negative
+    assert not check_T_reduced(system, simples + [tilted])
+    assert not check_T_reduced(system, [mixed[0], mixed[0]])
+    assert not check_T_reduced(system, [mixed[0], mixed[0] + n_pos])
+    # every pair and triple agrees with the Q(phi) rank of the roots
+    for size in (2, 3):
+        for idx in itertools.combinations(range(n_pos), size):
+            roots = [system.roots[t] for t in idx]
+            assert check_T_reduced(system, idx) == (linalg.rank(roots) == size)
+
+
+@pytest.mark.parametrize("name", ["B3", "H3"])
+def test_reflection_length_miss_calls_rank_rational_once(name, monkeypatch):
+    # a fresh system, so that its l_T cache starts empty
+    system = RootSystem(named_coxeter_matrix(name))
+    calls = []
+    inner = linalg.rank_rational
+
+    def counting(matrix):
+        calls.append(1)
+        return inner(matrix)
+
+    monkeypatch.setattr(linalg, "rank_rational", counting)
+    w0 = longest_element(system)
+    assert w0.reflection_length() == system.rank
+    assert len(calls) == 1
+    # memoized on the element, then in the per-system cache
+    assert w0.reflection_length() == system.rank
+    assert from_word(system, w0.reduced_word()).reflection_length() == system.rank
+    assert len(calls) == 1
+    s = simple_reflection(system, 0)
+    assert s.reflection_length() == 1
+    assert len(calls) == 2
 
 
 def test_enumeration_index_and_inverses():

@@ -1,4 +1,4 @@
-"""The Q(phi) ring operations and sign test against sympy's exact arithmetic."""
+"""The Q(phi) ring operations, sign test and rational rank against sympy."""
 
 import pytest
 
@@ -9,6 +9,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from coxabs.field import PHI, ZERO, FieldScalar  # noqa: E402
+from coxabs.linalg import rank_rational  # noqa: E402
 
 _RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=30)
 _SCALARS = st.builds(lambda a, b: a + b * PHI, _RATIONALS, _RATIONALS)
@@ -37,3 +38,42 @@ def test_ring_operations_match_sympy(x, y):
     assert x.sign() == sympy.sign(sx)
     assert (x < y) == bool(sx < sy)
     assert (x == y) == (sympy.expand(sx - sy) == 0)
+
+
+# zeros leave rows without an entry in the pivot column, which Bareiss
+# must still rescale
+_ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.integers(-(10**12), 10**12),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+def _blocks(rows, cols, entries=_ENTRIES):
+    return st.lists(
+        st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+
+
+@st.composite
+def _matrices(draw):
+    """Dense random matrices, or products of two thin random factors."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        return draw(_blocks(m, n))
+    k = draw(st.integers(0, min(m, n)))
+    small = st.one_of(st.just(0), st.integers(-5, 5), st.fractions(-5, 5, max_denominator=6))
+    left, right = draw(_blocks(m, k, small)), draw(_blocks(k, n, small))
+    return [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_matrices())
+@example([[0, 0], [0, 0]])
+@example([[2, 4, 6], [3, 6, 9], [0, 0, 1]])
+def test_rank_rational_matches_sympy(matrix):
+    want = sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in matrix]
+    ).rank()
+    assert rank_rational(matrix) == want

@@ -2,8 +2,11 @@
 
 import pytest
 
+from coxabs import rootsystem
 from coxabs.field import HALF, ONE, PHI, ZERO, FieldScalar
+from coxabs.linalg import rank, rank_rational
 from coxabs.rootsystem import (
+    CapExceededError,
     CoxeterMatrix,
     InfiniteTypeError,
     RootSystem,
@@ -11,6 +14,7 @@ from coxabs.rootsystem import (
     format_type_multiset,
     make_label,
     named_coxeter_matrix,
+    RecognitionError,
     parse_label,
 )
 
@@ -193,6 +197,42 @@ def test_positive_roots_sorted_by_height():
     # simple roots are coordinate units, hence the lowest layer
     for s in system.simple_idx:
         assert heights[s] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("name,degree", [("B3", 1), ("G2", 1), ("H3", 2), ("I2(5)", 2)])
+def test_integer_rows_embed_the_roots(name, degree):
+    system = RootSystem.named(name)
+    assert system.int_degree == degree
+    for root, rows in zip(system.roots, system.int_rows):
+        assert len(rows) == degree
+        for k, c in enumerate(root):
+            a, b = c.coords
+            block = [row[degree * k : degree * (k + 1)] for row in rows]
+            # multiplication by a + b*phi on the basis {1, phi}
+            assert block == ([(a,)] if degree == 1 else [(a, b), (b, a + b)])
+    # stacked rows have degree times the rank over Q(phi)
+    for t in range(0, system.n_pos, 2):
+        idx = [t, system.simple_idx[0], system.simple_idx[-1]]
+        rows = [row for i in idx for row in system.int_rows[i]]
+        assert rank_rational(rows) == degree * rank([system.roots[i] for i in idx])
+
+
+def test_integer_rows_refuse_a_non_integral_coordinate():
+    with pytest.raises(RecognitionError):
+        rootsystem._integer_rows(((ONE, FieldScalar.from_rational(1, 2)),))
+    with pytest.raises(RecognitionError):
+        rootsystem._integer_rows(((ONE, HALF * PHI),))
+
+
+def test_oversized_reflection_table_is_refused(monkeypatch):
+    # A4: 10 positive roots, 20 roots, a table of 10 * 20 int32 = 800 bytes
+    matrix = named_coxeter_matrix("A4")
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 799)
+    with pytest.raises(CapExceededError) as err:
+        RootSystem(matrix)
+    assert "799" in str(err.value)
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 800)
+    assert RootSystem(matrix).reflection_table.nbytes == 800
 
 
 def test_named_systems_are_cached():
