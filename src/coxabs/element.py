@@ -8,11 +8,11 @@ with tens of thousands of elements.
 Two exact length functions live here.  The word length l_S(w) counts the
 positive roots sent negative.  The reflection length l_T(w) is computed
 from the geometric action: it equals rank(M_w - Id), the codimension of
-the fixed space, and is memoized per system.  The rank is taken on plain
-ints: roots lie in Z^n, or in Z[phi]^n embedded as integer rows over Q
-(RootSystem.int_rows), and linalg.rank_rational eliminates them by
-Bareiss.  The FieldScalar matrix, fixed space and moved space are the
-reference that the tests and verify compare against.
+the fixed space, and is memoized per system.  It is the Bareiss rank of
+moved_rows(), the vectors w(a_j) - a_j on plain ints (RootSystem.int_rows),
+whose echelon parabolic_closure also takes.  The FieldScalar matrix, fixed
+space and moved space are the reference the tests and verify compare
+against.
 """
 
 from __future__ import annotations
@@ -84,9 +84,6 @@ class Element:
 
     # -- root actions ------------------------------------------------------
 
-    def apply(self, root_idx: int) -> int:
-        return int(self.perm[root_idx])
-
     def image_of_simple(self, s: int) -> int:
         return int(self.perm[self.system.simple_idx[s]])
 
@@ -143,12 +140,22 @@ class Element:
         cols = [[m[i][j] for i in range(len(m))] for j in range(len(m))]
         return Subspace.from_vectors(cols, self.system.rank)
 
+    def moved_rows(self) -> list[list[int]]:
+        """The int_rows of w(a_j) - a_j for every simple root a_j; over Q
+        they span the moved space Im(M_w - Id), on {1, phi} if phi is used."""
+        rows = self.system.int_rows
+        perm = self.perm
+        return [
+            [a - b for a, b in zip(image, simple)]
+            for s in self.system.simple_idx
+            for image, simple in zip(rows[perm[s]], rows[s])
+        ]
+
     def reflection_length(self) -> int:
         """l_T(w) = rank(M_w - Id), memoized per system.
 
-        The rows w(a_j) - a_j of the transpose are differences of the
-        integer root rows, so the rank is taken over Q on plain ints and
-        divided by the degree of the coordinate ring.
+        The rank over Q of the moved rows, divided by the degree of the
+        coordinate ring.
         """
         if self._ell_t >= 0:
             return self._ell_t
@@ -157,13 +164,7 @@ class Element:
         key = self.perm.tobytes()
         val = cache.get(key)
         if val is None:
-            rows = sys.int_rows
-            perm = self.perm
-            m = []
-            for s in sys.simple_idx:
-                for image, simple in zip(rows[perm[s]], rows[s]):
-                    m.append([a - b for a, b in zip(image, simple)])
-            val = linalg.rank_rational(m) // sys.int_degree
+            val = linalg.rank_rational(self.moved_rows()) // sys.int_degree
             cache[key] = val
         self._ell_t = val
         return val

@@ -1,12 +1,12 @@
-"""Exact linear algebra over Q(phi): echelon forms and subspaces.
+"""Exact linear algebra: an integer Bareiss echelon and a Q(phi) reference.
 
-Matrices are lists of rows of FieldScalar.  Elimination is fraction free
-(cross multiplication instead of division) so intermediate entries stay
-cheap; canonical forms get one normalization pass at the end.  Subspaces
-are kept in reduced row echelon form, which makes equality a tuple
-comparison and containment a rank check.  The rank over Q of ints and
-rationals, behind every reflection length, is a separate Bareiss
-elimination on Python ints (rank_rational).
+Production ranks and spans run on plain ints: echelon() is Bareiss
+elimination over Q, rank_rational() counts its rows and in_span() reduces
+a vector against them; roots enter as RootSystem.int_rows.  The
+FieldScalar rank, rref, kernel and Subspace work over Q(phi), fraction
+free with one normalization pass at the end, and are the reference the
+tests and verify compare against.  A Subspace is kept in reduced row
+echelon form, so equality is a tuple comparison.
 """
 
 from __future__ import annotations
@@ -107,13 +107,6 @@ def kernel(matrix: list[list[FieldScalar]]) -> list[list[FieldScalar]]:
     return basis
 
 
-def mat_mul_vec(matrix, vec) -> list[FieldScalar]:
-    return [
-        sum((row[j] * vec[j] for j in range(len(vec)) if vec[j]), ZERO)
-        for row in matrix
-    ]
-
-
 def dot(gram, u, v) -> FieldScalar:
     """Bilinear form value u^T gram v."""
     total = ZERO
@@ -155,20 +148,21 @@ def _integer_row(row) -> list[int]:
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def rank_rational(matrix) -> int:
-    """Exact rank of a matrix of ints or rationals, over Q.
+def echelon(matrix) -> list[list[int]]:
+    """Row echelon form over Q of a matrix of ints or rationals, on ints.
 
     Bareiss elimination (Math. Comp. 22, 1968) on Python ints: each row is
     first scaled to integers, and every update divides exactly by the
     previous pivot, so the entries stay minors of the input and never need
     a gcd.  Rows with a zero in the pivot column are still rescaled by
-    p / prev, which keeps the later divisions exact.
+    p / prev, which keeps the later divisions exact.  Returns the nonzero
+    rows, each with its first nonzero entry in its own pivot column.
     """
     # a row of ints sums to an int, a Fraction anywhere makes the sum one
     rows = [row if type(sum(row)) is int else _integer_row(row) for row in matrix]
     rows = [row for row in rows if any(row)]
     if not rows:
-        return 0
+        return []
     ncols = len(rows[0])
     prev = 1
     r = 0
@@ -192,7 +186,24 @@ def rank_rational(matrix) -> int:
         r += 1
         if r == len(rows):
             break
-    return r
+    return rows[:r]
+
+
+def rank_rational(matrix) -> int:
+    """Exact rank of a matrix of ints or rationals, over Q."""
+    return len(echelon(matrix))
+
+
+def in_span(basis, vec) -> bool:
+    """Whether vec lies in the row span of basis, an echelon() result:
+    fraction-free reduction leaves nothing exactly then."""
+    for row in basis:
+        col = next(c for c, x in enumerate(row) if x)
+        f = vec[col]
+        if f:
+            p = row[col]
+            vec = [p * a - f * b for a, b in zip(vec, row)]
+    return not any(vec)
 
 
 class Subspace:

@@ -8,6 +8,10 @@ stores the set as one Python int bitmask over positive root indices,
 which makes intersection of parabolics a bitwise AND (the intersection of
 closed sets is closed and spans are compatible, see intersect below).
 
+Closures find their roots by linalg.echelon and in_span on the integer
+root rows; the FieldScalar Subspace behind span, is_closed and
+contains_element is the reference the tests and verify compare against.
+
 Heavyweight derived data (simple systems, component types, longest
 elements) is cached per system and mask so sweeps over many involutions
 stay cheap.
@@ -22,7 +26,6 @@ import numpy as np
 
 from . import linalg
 from .element import Element
-from .field import ZERO
 from .linalg import Subspace
 from .rootsystem import (
     RecognitionError,
@@ -123,7 +126,10 @@ class Parabolic:
 
     def is_closed(self) -> bool:
         """Check the defining invariant: the mask equals roots-in-span."""
-        return self.mask == _roots_in_span(self.system, self.span)
+        span, roots = self.span, self.system.roots
+        return self.mask == mask_from_indices(
+            i for i in range(self.system.n_pos) if span.contains(roots[i])
+        )
 
     # -- simple system and type --------------------------------------------
 
@@ -246,9 +252,6 @@ class Parabolic:
         """The parabolic w P w^-1 (image of a closed set is closed)."""
         return Parabolic(self.system, conjugate_mask(self.system, self.mask, w.perm))
 
-    def contains_parabolic(self, other: "Parabolic") -> bool:
-        return other.mask & ~self.mask == 0
-
     def contains_element(self, w: Element) -> bool:
         """Membership via moved space: w lies in the stabilizer iff it
         moves nothing outside the span."""
@@ -263,12 +266,16 @@ class Parabolic:
 # constructors
 
 
-def _roots_in_span(system: RootSystem, span: Subspace) -> int:
-    mask = 0
-    for i in range(system.n_pos):
-        if span.contains(system.roots[i]):
-            mask |= 1 << i
-    return mask
+def _roots_in_row_span(system: RootSystem, rows) -> int:
+    """Mask of the positive roots in the span over Q of int_rows rows.
+
+    That span is a Q(phi)-span written on {1, phi}, so it is closed under
+    multiplication by phi: a root lies in it exactly when its row 0 does.
+    """
+    basis = linalg.echelon(rows)
+    return mask_from_indices(
+        i for i in range(system.n_pos) if linalg.in_span(basis, system.int_rows[i][0])
+    )
 
 
 def closure_of_roots(system: RootSystem, indices) -> Parabolic:
@@ -276,13 +283,8 @@ def closure_of_roots(system: RootSystem, indices) -> Parabolic:
 
     Takes all positive roots inside the linear span of the inputs.
     """
-    rows = [
-        system.roots[i if i < system.n_pos else i - system.n_pos] for i in indices
-    ]
-    if not rows:
-        return Parabolic(system, 0)
-    span = Subspace.from_vectors(rows, system.rank)
-    return Parabolic(system, _roots_in_span(system, span))
+    rows = [row for i in indices for row in system.int_rows[i]]
+    return Parabolic(system, _roots_in_row_span(system, rows))
 
 
 def standard_parabolic(system: RootSystem, generators) -> Parabolic:
@@ -294,34 +296,18 @@ def parabolic_closure(w: Element) -> Parabolic:
     """The smallest parabolic subgroup containing w.
 
     This is the pointwise stabilizer of the fixed space of w, so its
-    roots are the positive roots orthogonal to every fixed vector.  For
-    an involution the whole space splits as fixed plus moved and w is
-    -Id on the moved part, so a root is orthogonal to the fixed space
-    exactly when w sends it to its own negative; that reads the mask
-    straight off the permutation.
+    roots are the positive roots orthogonal to every fixed vector: those
+    in the span of w.moved_rows(), as Im(M_w - Id) = Fix(w)^perp.  For an
+    involution w is -Id on the moved space, so a root lies in it exactly
+    when w sends it to its own negative; that reads the mask straight off
+    the permutation.
     """
     sys = w.system
     n_pos = sys.n_pos
     if w.is_involution:
         flipped = np.nonzero(w.perm[:n_pos] == np.arange(n_pos) + n_pos)[0]
         return Parabolic(sys, mask_from_indices(flipped))
-    fixed = w.fixed_space()
-    gram_rows = [linalg.mat_mul_vec(sys.gram, v) for v in fixed.basis]
-    mask = 0
-    for i in range(n_pos):
-        root = sys.roots[i]
-        orthogonal = True
-        for gv in gram_rows:
-            value = ZERO
-            for k in range(sys.rank):
-                if root[k]:
-                    value = value + root[k] * gv[k]
-            if value:
-                orthogonal = False
-                break
-        if orthogonal:
-            mask |= 1 << i
-    return Parabolic(sys, mask)
+    return Parabolic(sys, _roots_in_row_span(sys, w.moved_rows()))
 
 
 # ----------------------------------------------------------------------

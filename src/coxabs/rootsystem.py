@@ -302,6 +302,21 @@ def _check_table_bytes(n_roots: int) -> None:
         )
 
 
+def root_count(label: TypeLabel) -> int:
+    """Number of roots of a named irreducible type: rank times Coxeter number."""
+    n = label.rank
+    coxeter_number = {
+        "A": n + 1,
+        "B": 2 * n,
+        "D": 2 * n - 2,
+        "E": {6: 12, 7: 18, 8: 30}.get(n),
+        "F": 12,
+        "H": {3: 10, 4: 30}.get(n),
+        "I": label.bond,
+    }[label.family]
+    return n * coxeter_number
+
+
 def _integer_rows(roots) -> tuple[tuple, int]:
     """Each root as integer rows over Q, and the degree of its coordinate ring.
 
@@ -348,6 +363,9 @@ class RootSystem:
                 "bond labels above 6 leave the field Q(phi); "
                 "use the symbolic dihedral model for I2(m), m > 6"
             )
+        if label is not None:
+            # a named type's table size is known before a root is built
+            _check_table_bytes(root_count(label))
         self.matrix = matrix
         self.label = label
         n = matrix.rank

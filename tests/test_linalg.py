@@ -5,7 +5,6 @@ from coxabs.linalg import (
     Subspace,
     is_positive_definite,
     kernel,
-    mat_mul_vec,
     rank,
     rank_rational,
     rref,
@@ -44,11 +43,6 @@ def test_kernel_vectors_annihilate():
 
 def test_kernel_of_full_rank_matrix_is_empty():
     assert kernel([[ONE, ZERO], [ZERO, ONE]]) == []
-
-
-def test_mat_mul_vec():
-    matrix = [[ONE, rational(2)], [ZERO, ONE]]
-    assert mat_mul_vec(matrix, [ONE, ONE]) == [rational(3), ONE]
 
 
 def test_positive_definite_gram():

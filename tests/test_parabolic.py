@@ -1,5 +1,11 @@
 """Reflection subgroups as closed root subsets: closure, types, intersections."""
 
+import random
+from collections import Counter
+
+import pytest
+
+from coxabs import linalg
 from coxabs.element import (
     enumerate_group,
     from_word,
@@ -61,11 +67,19 @@ def test_parabolic_closure_of_w0():
     assert str(p.type_labels[0]) == "B3"
 
 
-def test_parabolic_closure_via_subspace_matches_perm_route():
+# whole groups, and seeded samples of the larger ones
+SAMPLED = {"H4": 240, "E6": 240}
+
+
+@pytest.mark.parametrize("name", ["H3", "I2(5)", "G2", "B4", "F4", "H4", "E6"])
+def test_parabolic_closure_via_subspace_matches_perm_route(name):
     # the moved space of w cuts out the same root subset the closure holds
-    system = RootSystem.named("F4")
+    system = RootSystem.named(name)
     enum = enumerate_group(system)
-    for i in range(0, enum.size, 37):
+    ids = range(enum.size)
+    if name in SAMPLED:
+        ids = random.Random(name).sample(ids, SAMPLED[name])
+    for i in ids:
         w = enum.element(i)
         p = parabolic_closure(w)
         moved = w.moved_space()
@@ -75,6 +89,48 @@ def test_parabolic_closure_via_subspace_matches_perm_route():
         ]
         assert list(p.root_indices) == expected
         assert p.rank == w.reflection_length()
+
+
+@pytest.mark.parametrize("name", ["B3", "D4", "F4", "G2", "H3", "H4", "I2(5)", "E6"])
+def test_closure_of_roots_matches_subspace_reference(name):
+    system = RootSystem.named(name)
+    rng = random.Random(name)
+    for _ in range(100):
+        # indices at or above n_pos are negative roots
+        indices = [
+            rng.randrange(system.n_roots) for _ in range(rng.randint(0, system.rank + 1))
+        ]
+        span = Subspace.from_vectors([system.roots[i] for i in indices], system.rank)
+        expected = [t for t in range(system.n_pos) if span.contains(system.roots[t])]
+        assert list(closure_of_roots(system, indices).root_indices) == expected
+
+
+@pytest.mark.parametrize("name", ["F4", "H4"])
+def test_closures_run_no_field_linear_algebra(name, monkeypatch):
+    calls = Counter()
+
+    def counted(label, fn):
+        def wrapper(*args, **kwargs):
+            calls[label] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(linalg, "kernel", counted("kernel", linalg.kernel))
+    monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
+    monkeypatch.setattr(
+        Subspace, "from_vectors", staticmethod(counted("from_vectors", Subspace.from_vectors))
+    )
+    monkeypatch.setattr(Subspace, "contains", counted("contains", Subspace.contains))
+    system = RootSystem.named(name)
+    w = from_word(system, [0, 1, 2])
+    assert not w.is_involution
+    assert parabolic_closure(w).size > 0
+    assert closure_of_roots(system, [0, 5, system.n_pos + 7]).size > 0
+    assert calls == Counter()
+    # the FieldScalar reference goes through every counted name
+    w.fixed_space().contains(system.roots[0])
+    assert set(calls) == {"kernel", "rref", "from_vectors", "contains"}
 
 
 def test_intersection_is_mask_and_and_matches_span_route():

@@ -235,6 +235,30 @@ def test_oversized_reflection_table_is_refused(monkeypatch):
     assert RootSystem(matrix).reflection_table.nbytes == 800
 
 
+# every named type the test suite builds
+BUILT_TYPES = [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "B6", "D4", "D5",
+    "D6", "D8", "E6", "E7", "E8", "F4", "H3", "H4", "I2(5)", "I2(6)",
+]
+
+
+@pytest.mark.parametrize("name", BUILT_TYPES)
+def test_root_count_formula_matches_the_build(name):
+    system = RootSystem.named(name)
+    assert rootsystem.root_count(system.label) == system.n_roots
+
+
+def test_oversized_named_type_is_refused_before_the_orbit_closure(monkeypatch):
+    def entered(self):
+        raise AssertionError("the orbit closure ran")
+
+    monkeypatch.setattr(RootSystem, "_orbit_closure", entered)
+    with pytest.raises(CapExceededError):
+        RootSystem.named("A108")
+    # A107 is the last A_n under the cap
+    rootsystem._check_table_bytes(rootsystem.root_count(parse_label("A107")))
+
+
 def test_named_systems_are_cached():
     assert RootSystem.named("B3") is RootSystem.named("B3")
 
