@@ -5,7 +5,9 @@ Every value is a + b*phi with rational a and b, stored in the basis
 With Cartan-normalized roots every finite Coxeter group with bond labels
 up to 6 has its bilinear form, Cartan matrix and roots in this field:
 the crystallographic types need only rationals, and H3, H4 and I2(5)
-need cos(pi/5) = phi/2.
+need cos(pi/5) = phi/2.  The root system build computes on integer
+pairs; this class checks the input form, decides the sign and order of
+the roots, and is the reference arithmetic the tests compare against.
 
 Comparisons are exact: a + b*phi has the sign of 2a + b + b*sqrt(5),
 which is decided by comparing (2a + b)^2 with 5b^2, all rationals.

@@ -9,8 +9,10 @@ which makes intersection of parabolics a bitwise AND (the intersection of
 closed sets is closed and spans are compatible, see intersect below).
 
 Closures find their roots by linalg.echelon and in_span on the integer
-root rows; the FieldScalar Subspace behind span, is_closed and
-contains_element is the reference the tests and verify compare against.
+root rows, and components join simple roots through the orthogonality
+read off the reflection table; the FieldScalar Subspace behind span,
+is_closed and contains_element is the reference the tests and verify
+compare against.
 
 Heavyweight derived data (simple systems, component types, longest
 elements) is cached per system and mask so sweeps over many involutions
@@ -170,7 +172,7 @@ class Parabolic:
                 while frontier:
                     a = frontier.pop()
                     for b in list(remaining - comp):
-                        if not sys.bilinear(a, b).is_zero:
+                        if not sys.orthogonality[a, b]:
                             comp.add(b)
                             frontier.append(b)
                 remaining -= comp

@@ -5,11 +5,12 @@ Groups, 1990, chapter 2): across a bond m of 4 or 6 the squared lengths
 of the two simple roots differ by the factor 2 or 3, and are equal
 otherwise.  Then B(a_i, a_j) = -cos(pi/m) |a_i| |a_j| is a rational
 multiple of the shorter squared length, or phi/2 times it for m = 5, so
-the whole root system lies in Q(phi) and the crystallographic types need
-only integers.  Roots are tuples of FieldScalar in the simple-root basis,
-each reflection becomes a permutation of root indices, and all later
-questions about the group reduce to integer permutation work plus exact
-rank computations.
+the Cartan entries lie in Z[phi] and so does every root coordinate in the
+simple-root basis.  The build reflects those coordinates as integer pairs
+(a, b) = a + b*phi, each reflection becomes a permutation of root
+indices, and all later questions about the group reduce to integer
+permutation work plus exact integer rank computations; the FieldScalar
+roots and the form are a view kept for the reference.
 
 Numbering conventions for the named types:
 
@@ -253,9 +254,6 @@ _BOND_FORM = {
     6: (3, FieldScalar.from_rational(3, 2)),
 }
 
-#: bond m by 4 cos^2(pi/m) = 4 B(a, b)^2 / (B(a, a) B(b, b)) = 4 k_m^2 / ratio
-_BOND_OF_COS2 = {4 * k * k / ratio: m for m, (ratio, k) in _BOND_FORM.items()}
-
 
 def _squared_lengths(matrix: CoxeterMatrix) -> list[Fraction]:
     """Squared lengths of the simple roots, Cartan-normalized.
@@ -317,44 +315,24 @@ def root_count(label: TypeLabel) -> int:
     return n * coxeter_number
 
 
-def _integer_rows(roots) -> tuple[tuple, int]:
-    """Each root as integer rows over Q, and the degree of its coordinate ring.
-
-    With every coordinate in Z a root is its own single row (degree 1).
-    Otherwise a root x gives the two rows x and phi*x, each coordinate
-    written on the basis {1, phi}: a coordinate a + b*phi puts [a, b] in
-    the first row and [b, a + b] in the second, the matrix of
-    multiplication by a + b*phi.  Stacked rows then have twice their rank
-    over Q(phi) as their rank over Q (degree 2).
-    """
-    for root in roots:
-        for c in root:
-            if any(q.denominator != 1 for q in c.coords):
-                raise RecognitionError(
-                    f"root coordinate {c} is not in Z[phi]; "
-                    "Cartan-normalized roots must be integral"
-                )
-    pairs = [[(int(c.coords[0]), int(c.coords[1])) for c in root] for root in roots]
-    if not any(b for root in pairs for _, b in root):
-        return tuple((tuple(a for a, _ in root),) for root in pairs), 1
-    rows = []
-    for root in pairs:
-        low = tuple(x for a, b in root for x in (a, b))
-        high = tuple(x for a, b in root for x in (b, a + b))
-        rows.append((low, high))
-    return tuple(rows), 2
-
-
 class RootSystem:
-    """The full root system of a finite Coxeter matrix, with exact roots.
+    """The full root system of a finite Coxeter matrix, built on integers.
 
-    gram is the bilinear form on the simple roots, and roots are given in
-    the simple-root basis.  Positive roots come first (indices 0 ..
-    n_pos-1), sorted by height and then lexicographically by coordinates;
-    index i + n_pos is the negative of index i.  reflection_table[t] is
-    the permutation of all root indices induced by the reflection along
-    positive root t.  int_rows[i] holds root i as int_degree integer rows
-    (see _integer_rows), the input of the exact integer rank.
+    The build sees a root as the flat tuple (a_1, b_1, ..., a_n, b_n) of
+    its coordinates a_k + b_k*phi in the simple-root basis.  Positive roots
+    come first (indices 0 .. n_pos-1), sorted by height and then
+    lexicographically; index i + n_pos is the negative of index i.
+
+    Production reads simple_idx, reflection_table (row t permutes all
+    root indices as the reflection along positive root t does), the
+    orthogonality and bond_between read off that table, and int_rows, the
+    input of the exact integer rank: root i as int_degree rows.  With
+    every coordinate in Z a root is its own row (degree 1); otherwise it
+    gives the rows x and phi*x on the basis {1, phi}, a coordinate a + b*phi
+    putting [a, b] in the first and [b, a + b] in the second (degree 2,
+    twice the rank over Q(phi) as the rank over Q).  The reference view,
+    which tests and verify compare against, is roots (tuples of
+    FieldScalar), gram (the form on the simple roots) and bilinear.
     """
 
     def __init__(self, matrix: CoxeterMatrix, label: TypeLabel | None = None):
@@ -381,33 +359,45 @@ class RootSystem:
             for i in range(n)
         ]
         self.gram = tuple(tuple(row) for row in gram)
-        # Cartan entries 2 B(a_s, a_j) / B(a_s, a_s), the nonzero ones per s
-        self._cartan = tuple(
-            tuple((j, g * (2 / lengths[s])) for j, g in enumerate(gram[s]) if g)
-            for s in range(n)
-        )
         if not linalg.is_positive_definite(gram):
             raise InfiniteTypeError(
                 "the bilinear form is not positive definite: "
                 "this Coxeter matrix defines an infinite group"
             )
-        positives = self._orbit_closure()
-        positives.sort(key=lambda r: (sum(r, start=ZERO), r))
+        # Cartan entries 2 B(a_s, a_j) / B(a_s, a_s) = p + q*phi, the nonzero
+        # ones per row s as (j, p, q): 2 on the diagonal, -1, -2, -3 or -phi
+        cartan = [
+            [(j, *(g * (2 / lengths[s])).coords) for j, g in enumerate(row) if g]
+            for s, row in enumerate(gram)
+        ]
+        if any(q.denominator != 1 for row in cartan for e in row for q in e[1:]):
+            raise RecognitionError(
+                "a Cartan entry is not in Z[phi]; "
+                "Cartan-normalized roots must be integral"
+            )
+        self._cartan = tuple(
+            tuple((j, p.numerator, q.numerator) for j, p, q in row) for row in cartan
+        )
+        positives, view = self._orbit_closure()
+        positives.sort(key=lambda r: (sum(view[r], start=ZERO), view[r]))
         self.n_pos = len(positives)
         self.n_roots = 2 * self.n_pos
-        negatives = [tuple(-c for c in r) for r in positives]
-        self.roots = tuple(positives + negatives)
-        self.root_index = {r: i for i, r in enumerate(self.roots)}
-        simple_idx = []
-        for s in range(n):
-            unit = tuple(ONE if j == s else ZERO for j in range(n))
-            simple_idx.append(self.root_index[unit])
-        self.simple_idx = tuple(simple_idx)
-        self.reflection_table = self._build_reflection_table()
-        self.int_rows, self.int_degree = _integer_rows(self.roots)
+        flat = positives + [tuple(-x for x in r) for r in positives]
+        self.roots = tuple(view[r] for r in flat)
+        index = {r: i for i, r in enumerate(flat)}
+        self.simple_idx = tuple(
+            index[tuple(int(k == 2 * s) for k in range(2 * n))] for s in range(n)
+        )
+        self.reflection_table = self._build_reflection_table(flat, index)
+        self.int_degree = 2 if any(any(r[1::2]) for r in positives) else 1
+        self.int_rows = tuple(
+            (r, tuple(x for a, b in zip(r[::2], r[1::2]) for x in (b, a + b)))
+            if self.int_degree == 2
+            else (r[::2],)
+            for r in flat
+        )
         # per-system caches filled lazily by other modules
         self._orth: np.ndarray | None = None
-        self._bond_cache: dict[tuple[int, int], int] = {}
         self._subsystem_cache: dict = {}
         self._ell_t_cache: dict[bytes, int] = {}
         self._group = None
@@ -415,30 +405,33 @@ class RootSystem:
 
     # -- construction ---------------------------------------------------
 
-    def _reflect_coords(self, s: int, root: tuple) -> tuple:
-        """Apply the simple reflection s to a root given by coordinates."""
-        b = ZERO
-        for j, a in self._cartan[s]:
-            c = root[j]
-            if c:
-                b = b + a * c
+    def _reflect(self, s: int, root: tuple) -> tuple:
+        """Apply the simple reflection s to a flat integer root: coordinate
+        s drops by the Cartan entries p + q*phi times the coordinates
+        a + b*phi, each product pa + qb + (pb + qa + qb)*phi."""
+        da = db = 0
+        for j, p, q in self._cartan[s]:
+            a, b = root[2 * j], root[2 * j + 1]
+            if a or b:
+                da += p * a + q * b
+                db += p * b + q * (a + b)
         new = list(root)
-        new[s] = new[s] - b
+        new[2 * s] -= da
+        new[2 * s + 1] -= db
         return tuple(new)
 
-    def _orbit_closure(self) -> list:
+    def _orbit_closure(self) -> tuple[list, dict]:
+        """The positive flat roots, and the FieldScalar view of every root,
+        which decides its sign; equal coordinates share one FieldScalar."""
         n = self.rank
-        seen = set()
-        frontier = []
-        for s in range(n):
-            unit = tuple(ONE if j == s else ZERO for j in range(n))
-            seen.add(unit)
-            frontier.append(unit)
+        units = [tuple(int(k == 2 * s) for k in range(2 * n)) for s in range(n)]
+        seen = set(units)
+        frontier = units
         while frontier:
             nxt = []
             for root in frontier:
                 for s in range(n):
-                    img = self._reflect_coords(s, root)
+                    img = self._reflect(s, root)
                     if img not in seen:
                         seen.add(img)
                         nxt.append(img)
@@ -446,29 +439,25 @@ class RootSystem:
             # pass the cap; after the last level the count is exact
             _check_table_bytes(len(seen))
             frontier = nxt
-        positives = []
-        for root in seen:
-            signs = {c.sign() for c in root if c}
-            if signs == {1}:
-                positives.append(root)
-            elif signs != {-1}:
-                raise RecognitionError(
-                    "root with mixed coordinate signs; the geometric "
-                    "representation is inconsistent"
-                )
+        pairs = {p for root in seen for p in zip(root[::2], root[1::2])}
+        scalar = {p: FieldScalar(tuple(map(Fraction, p))) for p in pairs}
+        view = {r: tuple(scalar[p] for p in zip(r[::2], r[1::2])) for r in seen}
+        positives = [r for r, v in view.items() if all(c.sign() >= 0 for c in v)]
+        # -roots = roots, so this fails exactly when a root has mixed signs
         if 2 * len(positives) != len(seen):
-            raise RecognitionError("root system is not symmetric under negation")
-        return positives
+            raise RecognitionError(
+                "root with mixed coordinate signs; the geometric "
+                "representation is inconsistent"
+            )
+        return positives, view
 
-    def _build_reflection_table(self) -> np.ndarray:
+    def _build_reflection_table(self, flat: list, index: dict) -> np.ndarray:
         n_pos, n_roots = self.n_pos, self.n_roots
         table = np.full((n_pos, n_roots), -1, dtype=np.int32)
         simple_perms = {}
         for s in range(self.rank):
             t = self.simple_idx[s]
-            perm = np.empty(n_roots, dtype=np.int32)
-            for i, root in enumerate(self.roots):
-                perm[i] = self.root_index[self._reflect_coords(s, root)]
+            perm = np.array([index[self._reflect(s, r)] for r in flat], np.int32)
             table[t] = perm
             simple_perms[t] = perm
         # remaining reflections by conjugation: the reflection along s(b)
@@ -502,42 +491,46 @@ class RootSystem:
         return self.reflection_table[t if t < self.n_pos else t - self.n_pos]
 
     def bilinear(self, i: int, j: int) -> FieldScalar:
-        """Form value B(root_i, root_j)."""
+        """Form value B(root_i, root_j), on the reference view."""
         return linalg.dot(self.gram, self.roots[i], self.roots[j])
 
     @property
     def orthogonality(self) -> np.ndarray:
-        """Boolean matrix over positive roots: True where B(a, b) = 0."""
+        """Boolean matrix over positive roots: True where B(a, b) = 0.
+
+        s_a(b) = b - (2 B(a, b) / B(a, a)) a, so s_a fixes b exactly when
+        B(a, b) = 0: the matrix is read off the reflection table.
+        """
         if self._orth is None:
             n = self.n_pos
-            orth = np.zeros((n, n), dtype=bool)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if self.bilinear(i, j).is_zero:
-                        orth[i, j] = orth[j, i] = True
-            self._orth = orth
+            self._orth = self.reflection_table[:, :n] == np.arange(n)
         return self._orth
 
     def bond_between(self, i: int, j: int) -> int:
-        """Bond label m for two roots at a non-acute angle.
+        """Bond label m of two distinct positive roots, read off the table.
 
-        Valid when the two roots can both belong to one simple system, so
-        B(a, b) = -cos(pi/m) |a| |b|, read off as 4 cos^2(pi/m); raises
-        RecognitionError otherwise.
+        The roots of the dihedral group <s_a, s_b> are the orbit of {a, b}
+        under it, and a and b are its simple roots exactly when s_a and s_b
+        each keep the other positive roots of the orbit positive; there are
+        then m of them, and B(a, b) = -cos(pi/m)|a||b|.  Takes positive
+        roots only: raises RecognitionError when i == j, when an index is
+        not a positive root, and when a and b are not simple in their orbit.
         """
-        key = (i, j) if i <= j else (j, i)
-        cached = self._bond_cache.get(key)
-        if cached is not None:
-            return cached
-        value = self.bilinear(i, j)
-        if value.sign() <= 0:
-            cos2 = 4 * value * value / (self.bilinear(i, i) * self.bilinear(j, j))
-            m = _BOND_OF_COS2.get(cos2)
-            if m is not None:
-                self._bond_cache[key] = m
-                return m
+        n_pos = self.n_pos
+        if i != j and 0 <= min(i, j) and max(i, j) < n_pos:
+            perms = (self.reflection_table[i], self.reflection_table[j])
+            orbit, frontier = {i, j}, [i, j]
+            while frontier:
+                x = frontier.pop()
+                new = {int(perm[x]) for perm in perms} - orbit
+                orbit |= new
+                frontier.extend(new)
+            positives = [x for x in orbit if x < n_pos]
+            # s_a sends a to -a, and must keep every other positive root
+            if all(sum(perm[x] >= n_pos for x in positives) == 1 for perm in perms):
+                return len(positives)
         raise RecognitionError(
-            f"roots {i} and {j} are not at a simple-system angle"
+            f"roots {i} and {j} are not the simple roots of a dihedral subsystem"
         )
 
     def describe(self) -> str:

@@ -179,6 +179,13 @@ def test_classify_table(capsys):
     assert lines[0].split()[:3] == ["t-word", "size", "l_T"]
     assert len(lines) > 3
     assert all("False" not in l for l in lines)  # every B3 interval is a lattice
+    # the t-words name roots by index, so they pin the root numbering
+    words = [l.split()[0] for l in lines[1:]]
+    assert words == ["e", "t2", "t8", "t1*t8", "t2*t7", "t0*t2*t7"]
+    code, out, _ = run(capsys, "classify", "H3")
+    assert code == 0
+    words = [l.split()[0] for l in out.splitlines()[1:] if l.strip()]
+    assert words == ["e", "t2", "t2*t14", "t0*t2*t14"]
 
 
 def test_classify_symbolic(capsys):

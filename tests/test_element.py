@@ -138,12 +138,12 @@ def test_check_T_reduced():
     assert check_T_reduced(system, simples)
     # (1, phi, 0), (phi, 1, 0) and a3 are independent over Q(phi)
     mixed = [
-        system.root_index[root]
+        system.roots.index(root)
         for root in [(ONE, PHI, ZERO), (PHI, ONE, ZERO), (ZERO, ZERO, ONE)]
     ]
     assert check_T_reduced(system, mixed)
     # (phi, phi, 0) = phi (a1 + a2) depends on a1 and a2 only over Q(phi)
-    tilted = system.root_index[(PHI, PHI, ZERO)]
+    tilted = system.roots.index((PHI, PHI, ZERO))
     assert not check_T_reduced(system, simples[:2] + [tilted])
     # a fourth root, a repeated root, or a root and its negative
     assert not check_T_reduced(system, simples + [tilted])

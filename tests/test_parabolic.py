@@ -6,6 +6,8 @@ from collections import Counter
 import pytest
 
 from coxabs import linalg
+from coxabs.absorder import is_lattice_structural
+from coxabs.classify import lattice_by_classification
 from coxabs.element import (
     enumerate_group,
     from_word,
@@ -13,6 +15,7 @@ from coxabs.element import (
     reflection,
     simple_reflection,
 )
+from coxabs.field import FieldScalar
 from coxabs.linalg import Subspace
 from coxabs.parabolic import (
     Parabolic,
@@ -25,7 +28,7 @@ from coxabs.parabolic import (
     parabolic_closure,
     standard_parabolic,
 )
-from coxabs.rootsystem import RootSystem
+from coxabs.rootsystem import RootSystem, named_coxeter_matrix, parse_label
 
 
 def full_parabolic(system):
@@ -131,6 +134,29 @@ def test_closures_run_no_field_linear_algebra(name, monkeypatch):
     # the FieldScalar reference goes through every counted name
     w.fixed_space().contains(system.roots[0])
     assert set(calls) == {"kernel", "rref", "from_vectors", "contains"}
+
+
+@pytest.mark.parametrize("name", ["F4", "H4"])
+def test_verdicts_run_no_form_arithmetic(name, monkeypatch):
+    # a fresh system, so that no closure type is cached yet
+    system = RootSystem(named_coxeter_matrix(name), parse_label(name))
+    involutions = enumerate_involutions(standard_parabolic(system, range(system.rank)))
+    calls = Counter()
+    inner = FieldScalar.__mul__
+
+    def counting(self, other):
+        calls["mul"] += 1
+        return inner(self, other)
+
+    monkeypatch.setattr(FieldScalar, "__mul__", counting)
+    monkeypatch.setattr(FieldScalar, "__rmul__", counting)
+    assert system.orthogonality.any()
+    for u in involutions:
+        assert lattice_by_classification(u) == is_lattice_structural(u)[0]
+    assert calls == Counter()
+    # the form is the reference and goes through the counted product
+    system.bilinear(0, 1)
+    assert calls["mul"] > 0
 
 
 def test_intersection_is_mask_and_and_matches_span_route():

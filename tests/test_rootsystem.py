@@ -136,6 +136,33 @@ def test_simple_pairs_reproduce_the_coxeter_matrix(name):
             assert system.bond_between(a, b) == m
 
 
+@pytest.mark.parametrize(
+    "name", ["H3", "H4", "F4", "B4", "D5", "E6", "I2(5)", "I2(6)"]
+)
+def test_table_geometry_matches_the_form(name):
+    # s_a(b) = b - (2 B(a, b) / B(a, a)) a, so the reflection table must
+    # give the orthogonality and the bonds that the form gives
+    system = RootSystem.named(name)
+    bond_of_cos2 = {value: m for m, value in COS_SQUARED.items()}
+    norms = [system.bilinear(a, a) for a in range(system.n_pos)]
+    for a in range(system.n_pos):
+        for b in range(system.n_pos):
+            value = system.bilinear(a, b)
+            assert system.orthogonality[a, b] == (value == ZERO)
+            m = None
+            if value.sign() <= 0:
+                m = bond_of_cos2.get(value * value / (norms[a] * norms[b]))
+            if m is None:
+                with pytest.raises(RecognitionError):
+                    system.bond_between(a, b)
+            else:
+                assert system.bond_between(a, b) == m
+    # bond_between takes positive roots only
+    for a, b in [(0, system.n_pos + 1), (system.n_pos + 1, 0), (-1, 0)]:
+        with pytest.raises(RecognitionError):
+            system.bond_between(a, b)
+
+
 @pytest.mark.parametrize("name", ["H3", "B3", "F4", "I2(6)", "D4"])
 def test_roots_keep_the_squared_length_of_their_orbit(name):
     # every root is W-conjugate to a simple root of the same squared
@@ -217,11 +244,14 @@ def test_integer_rows_embed_the_roots(name, degree):
         assert rank_rational(rows) == degree * rank([system.roots[i] for i in idx])
 
 
-def test_integer_rows_refuse_a_non_integral_coordinate():
+def test_non_integral_cartan_entry_is_refused(monkeypatch):
+    # k = 1/3 keeps the A3 form positive definite, but makes the Cartan
+    # entry 2 B(a_1, a_2) / B(a_1, a_1) = -2/3, so the roots leave Z[phi]
+    monkeypatch.setitem(
+        rootsystem._BOND_FORM, 3, (1, FieldScalar.from_rational(1, 3))
+    )
     with pytest.raises(RecognitionError):
-        rootsystem._integer_rows(((ONE, FieldScalar.from_rational(1, 2)),))
-    with pytest.raises(RecognitionError):
-        rootsystem._integer_rows(((ONE, HALF * PHI),))
+        RootSystem(named_coxeter_matrix("A3"))
 
 
 def test_oversized_reflection_table_is_refused(monkeypatch):
