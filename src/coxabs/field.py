@@ -6,11 +6,11 @@ With Cartan-normalized roots every finite Coxeter group with bond labels
 up to 6 has its bilinear form, Cartan matrix and roots in this field:
 the crystallographic types need only rationals, and H3, H4 and I2(5)
 need cos(pi/5) = phi/2.  The root system build computes on integer
-pairs; this class checks the input form, decides the sign and order of
-the roots, and is the reference arithmetic the tests compare against.
+pairs and takes their signs and order with phi_sign alone; FieldScalar
+is the reference arithmetic that the tests and verify compare against.
 
 Comparisons are exact: a + b*phi has the sign of 2a + b + b*sqrt(5),
-which is decided by comparing (2a + b)^2 with 5b^2, all rationals.
+which is decided by comparing (2a + b)^2 with 5b^2.
 """
 
 from __future__ import annotations
@@ -20,6 +20,22 @@ from fractions import Fraction
 
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
+
+
+def phi_sign(a, b) -> int:
+    """-1, 0, or +1: the sign of a + b*phi, for ints or rationals a and b.
+
+    2(a + b*phi) = p + b*sqrt(5) with p = 2a + b.  When p and b do not
+    have opposite signs the sum has their sign; otherwise the larger of
+    p^2 and 5b^2 decides.
+    """
+    p = 2 * a + b
+    if not b:
+        return (p > 0) - (p < 0)
+    if p * b >= 0:
+        return 1 if b > 0 else -1
+    gap = p * p - 5 * b * b
+    return 1 if (gap > 0) == (p > 0) else -1
 
 
 class FieldScalar:
@@ -141,20 +157,8 @@ class FieldScalar:
     # exact comparisons
 
     def sign(self) -> int:
-        """-1, 0, or +1, decided exactly.
-
-        2(a + b*phi) = p + b*sqrt(5) with p = 2a + b.  When p and b do not
-        have opposite signs the sum has their sign; otherwise the larger
-        of p^2 and 5b^2 decides.
-        """
-        a, b = self.coords
-        p = 2 * a + b
-        if not b:
-            return (p > 0) - (p < 0)
-        if p * b >= 0:
-            return 1 if b > 0 else -1
-        gap = p * p - 5 * b * b
-        return 1 if (gap > 0) == (p > 0) else -1
+        """-1, 0, or +1, decided exactly by phi_sign."""
+        return phi_sign(*self.coords)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldScalar):

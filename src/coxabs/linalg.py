@@ -123,8 +123,8 @@ def dot(gram, u, v) -> FieldScalar:
 def is_positive_definite(gram) -> bool:
     """Exact positive-definiteness by symmetric (Lagrange) elimination.
 
-    Each step demands a positive pivot and passes to the Schur complement;
-    the form is positive definite iff every pivot is positive.
+    A reference: builds name the diagram instead.  Every pivot, each step
+    passing to the Schur complement, must be positive.
     """
     work = [list(row) for row in gram]
     n = len(work)

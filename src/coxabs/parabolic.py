@@ -9,10 +9,11 @@ which makes intersection of parabolics a bitwise AND (the intersection of
 closed sets is closed and spans are compatible, see intersect below).
 
 Closures find their roots by linalg.echelon and in_span on the integer
-root rows, and components join simple roots through the orthogonality
-read off the reflection table; the FieldScalar Subspace behind span,
-is_closed and contains_element is the reference the tests and verify
-compare against.
+root rows.  Components and their types come from rootsystem.recognize,
+the recognizer the build uses, fed the bonds read off the reflection
+table between non-orthogonal simple roots; the FieldScalar Subspace
+behind span, is_closed and contains_element is the reference the tests
+and verify compare against.
 
 Heavyweight derived data (simple systems, component types, longest
 elements) is cached per system and mask so sweeps over many involutions
@@ -29,12 +30,7 @@ import numpy as np
 from . import linalg
 from .element import Element
 from .linalg import Subspace
-from .rootsystem import (
-    RecognitionError,
-    RootSystem,
-    TypeLabel,
-    make_label,
-)
+from .rootsystem import RootSystem, TypeLabel, recognize
 
 
 def indices_from_mask(mask: int) -> tuple[int, ...]:
@@ -158,27 +154,22 @@ class Parabolic:
 
     @property
     def components(self) -> tuple["Parabolic", ...]:
-        """Irreducible components, each again a Parabolic."""
+        """Irreducible components, each again a Parabolic and named by
+        recognize from the bonds of the non-orthogonal simple roots."""
         info = self._info()
         if "components" not in info:
             sys = self.system
-            simples = self.simple_system
-            remaining = set(simples)
+            bonds = {
+                (a, b): sys.bond_between(a, b)
+                for a, b in combinations(self.simple_system, 2)
+                if not sys.orthogonality[a, b]
+            }
             comps = []
-            while remaining:
-                seed = min(remaining)
-                comp = {seed}
-                frontier = [seed]
-                while frontier:
-                    a = frontier.pop()
-                    for b in list(remaining - comp):
-                        if not sys.orthogonality[a, b]:
-                            comp.add(b)
-                            frontier.append(b)
-                remaining -= comp
-                comps.append(closure_of_roots(sys, sorted(comp)))
-            comps.sort(key=lambda p: p.root_indices)
-            info["components"] = tuple(comps)
+            for label, simples in recognize(self.simple_system, bonds):
+                comp = closure_of_roots(sys, simples)
+                comp._info()["types"] = (label,)
+                comps.append(comp)
+            info["components"] = tuple(sorted(comps, key=lambda p: p.root_indices))
         return info["components"]
 
     @property
@@ -186,11 +177,7 @@ class Parabolic:
         """Sorted multiset of irreducible types of the components."""
         info = self._info()
         if "types" not in info:
-            labels = [
-                _recognize_component(self.system, comp.simple_system)
-                for comp in self.components
-            ]
-            info["types"] = tuple(sorted(labels))
+            info["types"] = tuple(sorted(c.type_labels[0] for c in self.components))
         return info["types"]
 
     @property
@@ -380,7 +367,7 @@ def all_subparabolics(p: Parabolic) -> list[Parabolic]:
 
 
 # ----------------------------------------------------------------------
-# type recognition
+# group orders
 
 
 def _order_of_label(label: TypeLabel) -> int:
@@ -400,72 +387,3 @@ def _order_of_label(label: TypeLabel) -> int:
     if fam == "I":
         return 2 * label.bond
     raise ValueError(f"unknown family {fam}")  # pragma: no cover
-
-
-def _recognize_component(system: RootSystem, simples: tuple[int, ...]) -> TypeLabel:
-    """Name the irreducible type of a connected simple system."""
-    r = len(simples)
-    if r == 1:
-        return make_label("A", 1)
-    adj: dict[int, list[int]] = {s: [] for s in simples}
-    bonds: dict[tuple[int, int], int] = {}
-    for a, b in combinations(simples, 2):
-        m = system.bond_between(a, b)
-        if m > 2:
-            bonds[(a, b)] = m
-            adj[a].append(b)
-            adj[b].append(a)
-    if r == 2:
-        if len(bonds) != 1:
-            raise RecognitionError("rank-2 component is not connected")
-        return make_label("I", 2, next(iter(bonds.values())))
-    if len(bonds) != r - 1:
-        raise RecognitionError("component diagram is not a tree")
-    degrees = {s: len(adj[s]) for s in simples}
-    maxdeg = max(degrees.values())
-    high = sorted(m for m in bonds.values() if m > 3)
-    if maxdeg == 3 and not high:
-        nodes = [s for s in simples if degrees[s] == 3]
-        if len(nodes) != 1:
-            raise RecognitionError("more than one branch node")
-        node = nodes[0]
-        lengths = sorted(_branch_length(adj, node, nb) for nb in adj[node])
-        if lengths[0] == 1 and lengths[1] == 1:
-            return make_label("D", r)
-        if lengths[:2] == [1, 2] and lengths[2] in (2, 3, 4) and r == lengths[2] + 4:
-            return make_label("E", r)
-        raise RecognitionError(f"unrecognized branched diagram of rank {r}")
-    if maxdeg > 2:
-        raise RecognitionError("diagram branches do not match a finite type")
-    # now a path
-    if not high:
-        return make_label("A", r)
-    if len(high) > 1:
-        raise RecognitionError("path with two high bonds")
-    m = high[0]
-    edge = next(e for e, v in bonds.items() if v == m)
-    touches_leaf = degrees[edge[0]] == 1 or degrees[edge[1]] == 1
-    if m == 4:
-        if touches_leaf:
-            return make_label("B", r)
-        if r == 4:
-            return make_label("F", 4)
-        raise RecognitionError("interior 4-bond outside rank 4")
-    if m == 5:
-        if touches_leaf and r in (3, 4):
-            return make_label("H", r)
-        raise RecognitionError("5-bond path beyond H3 and H4")
-    raise RecognitionError(f"path with a {m}-bond is infinite beyond rank 2")
-
-
-def _branch_length(adj, node, start) -> int:
-    length = 1
-    prev, cur = node, start
-    while True:
-        nxt = [x for x in adj[cur] if x != prev]
-        if not nxt:
-            return length
-        if len(nxt) > 1:
-            raise RecognitionError("branch inside a branch")
-        prev, cur = cur, nxt[0]
-        length += 1

@@ -6,11 +6,15 @@ of the two simple roots differ by the factor 2 or 3, and are equal
 otherwise.  Then B(a_i, a_j) = -cos(pi/m) |a_i| |a_j| is a rational
 multiple of the shorter squared length, or phi/2 times it for m = 5, so
 the Cartan entries lie in Z[phi] and so does every root coordinate in the
-simple-root basis.  The build reflects those coordinates as integer pairs
-(a, b) = a + b*phi, each reflection becomes a permutation of root
-indices, and all later questions about the group reduce to integer
-permutation work plus exact integer rank computations; the FieldScalar
-roots and the form are a view kept for the reference.
+simple-root basis.  The build names the Coxeter diagram first
+(recognize, on the classical list of connected finite Coxeter graphs), so
+that an infinite type and an oversized table are refused before any root
+exists.  It then reflects the coordinates as integer pairs
+(a, b) = a + b*phi with Cartan entries read off the bond table, signs and
+orders them with phi_sign, and turns each reflection into a permutation
+of root indices; all later questions about the group reduce to integer
+permutation work plus exact integer rank computations.  The FieldScalar
+roots and the form are a reference view, built on first use.
 
 Numbering conventions for the named types:
 
@@ -30,11 +34,12 @@ from __future__ import annotations
 import dataclasses
 import re
 from fractions import Fraction
+from functools import cached_property, cmp_to_key
 
 import numpy as np
 
 from . import linalg
-from .field import FieldScalar, ZERO, ONE, HALF, PHI
+from .field import FieldScalar, phi_sign
 
 #: largest reflection table (n_pos x n_roots int32 entries) a build will
 #: allocate, in bytes: A100 needs about 204 MB, A107 is the last A_n admitted
@@ -46,7 +51,7 @@ class CoxeterError(Exception):
 
 
 class InfiniteTypeError(CoxeterError):
-    """The Coxeter matrix does not define a finite group."""
+    """The Coxeter diagram is not a finite type: the group is infinite."""
 
 
 class UnsupportedBondError(CoxeterError):
@@ -58,7 +63,9 @@ class CapExceededError(CoxeterError):
 
 
 class RecognitionError(CoxeterError):
-    """A diagram did not match any finite type (internal inconsistency)."""
+    """Internal inconsistency: computed roots or bonds contradict the
+    recognized diagram.  A diagram that names no finite type raises
+    InfiniteTypeError instead."""
 
 
 # ----------------------------------------------------------------------
@@ -181,17 +188,6 @@ class CoxeterMatrix:
     def rank(self) -> int:
         return len(self.rows)
 
-    @property
-    def max_bond(self) -> int:
-        if self.rank == 1:
-            return 1
-        return max(
-            self.rows[i][j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if i != j
-        )
-
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
 
@@ -209,95 +205,94 @@ def named_coxeter_matrix(label) -> CoxeterMatrix:
         rows[i][j] = rows[j][i] = m
 
     fam = label.family
-    if fam == "A":
-        for i in range(n - 1):
-            bond(i, i + 1, 3)
-    elif fam == "B":
-        for i in range(n - 1):
-            bond(i, i + 1, 3)
-        bond(n - 2, n - 1, 4)
-    elif fam == "D":
+    if fam in "DE":  # s1 on s3, s2 on s3 (D) or s4 (E), chain from s3
         bond(0, 2, 3)
-        bond(1, 2, 3)
+        bond(1, 2 if fam == "D" else 3, 3)
         for i in range(2, n - 1):
             bond(i, i + 1, 3)
-    elif fam == "E":
-        bond(0, 2, 3)
-        bond(1, 3, 3)
-        for i in range(2, n - 1):
+    else:  # a path, with its one high bond
+        for i in range(n - 1):
             bond(i, i + 1, 3)
-    elif fam == "F":
-        bond(0, 1, 3)
-        bond(1, 2, 4)
-        bond(2, 3, 3)
-    elif fam == "H":
-        bond(0, 1, 5)
-        for i in range(1, n - 1):
-            bond(i, i + 1, 3)
-    elif fam == "I":
-        bond(0, 1, label.bond)
-    else:  # pragma: no cover - make_label already validated
-        raise ValueError(f"unknown family {fam}")
+        high = {"B": (n - 2, 4), "F": (1, 4), "H": (0, 5), "I": (0, label.bond)}
+        if fam in high:
+            i, m = high[fam]
+            bond(i, i + 1, m)
     return CoxeterMatrix.from_rows(rows)
 
 
 # ----------------------------------------------------------------------
-# root systems
-
-#: per bond m: the squared-length ratio of the two simple roots across it,
-#: and k_m with B(a_i, a_j) = -k_m * min(B(a_i, a_i), B(a_j, a_j))
-_BOND_FORM = {
-    2: (1, ZERO),
-    3: (1, HALF),
-    4: (2, ONE),
-    5: (1, PHI / 2),
-    6: (3, FieldScalar.from_rational(3, 2)),
-}
+# diagram recognition
 
 
-def _squared_lengths(matrix: CoxeterMatrix) -> list[Fraction]:
-    """Squared lengths of the simple roots, Cartan-normalized.
+def recognize(nodes, bonds: dict) -> list[tuple[TypeLabel, tuple]]:
+    """Split a Coxeter diagram into connected components and name each.
 
-    The first generator of each component gets 1, and the lengths spread
-    along the bonds of the Coxeter graph with the ratios of _BOND_FORM,
-    the later generator of a bond getting the longer root.  The graph of
-    a finite type is a forest; a cycle whose ratios conflict is rejected
-    as infinite (every cycle of bonds is).
+    bonds maps a pair of nodes (i, j) to its label m > 2; absent pairs
+    commute.  Returns (label, sorted nodes) per component, in order of
+    first appearance in nodes.  The connected finite Coxeter graphs are
+    A_n, B_n, D_n, E6-E8, F4, H3, H4 and I2(m) (Coxeter 1935; Humphreys,
+    Reflection Groups and Coxeter Groups, 1990, 2.4-2.7); any other
+    component raises InfiniteTypeError.
     """
-    n = matrix.rank
-    lengths: list = [None] * n
-    for first in range(n):
-        if lengths[first] is not None:
+    adj: dict = {v: [] for v in nodes}
+    for a, b in bonds:
+        adj[a].append(b)
+        adj[b].append(a)
+    parts, placed = [], set()
+    for v in adj:
+        if v in placed:
             continue
-        lengths[first] = Fraction(1)
-        stack = [first]
+        comp, stack = {v}, [v]
         while stack:
-            i = stack.pop()
-            for j in range(n):
-                m = matrix.entry(i, j)
-                if j == i or m == 2:
-                    continue
-                ratio = _BOND_FORM[m][0]
-                want = lengths[i] * ratio if j > i else lengths[i] / ratio
-                if lengths[j] is None:
-                    lengths[j] = want
-                    stack.append(j)
-                elif lengths[j] != want:
-                    raise InfiniteTypeError(
-                        "root lengths conflict around a cycle of the "
-                        "Coxeter graph: this matrix defines an infinite group"
-                    )
-    return lengths
+            for y in adj[stack.pop()]:
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        placed |= comp
+        comp_bonds = {e: m for e, m in bonds.items() if e[0] in comp}
+        parts.append((_name_component(comp, adj, comp_bonds), tuple(sorted(comp))))
+    return parts
 
 
-def _check_table_bytes(n_roots: int) -> None:
-    """Refuse a build whose reflection table would pass TABLE_CAP_BYTES."""
-    size = (n_roots // 2) * n_roots * 4
-    if size > TABLE_CAP_BYTES:
-        raise CapExceededError(
-            f"a system with {n_roots} or more roots needs a reflection table "
-            f"of at least {size} bytes, over the cap of {TABLE_CAP_BYTES}"
-        )
+def _name_component(comp: set, adj: dict, bonds: dict) -> TypeLabel:
+    r = len(comp)
+    if r == 1:
+        return make_label("A", 1)
+    if r == 2:
+        return make_label("I", 2, next(iter(bonds.values())))
+    if len(bonds) == r - 1:  # a tree; every cycle is infinite
+        branches = [v for v in comp if len(adj[v]) > 2]
+        high = [(e, m) for e, m in bonds.items() if m > 3]
+        if not high and not branches:
+            return make_label("A", r)
+        if len(high) == 1 and not branches:
+            (a, b), m = high[0]
+            at_end = min(len(adj[a]), len(adj[b])) == 1
+            if m == 4 and (at_end or r == 4):
+                return make_label("B" if at_end else "F", r)
+            if m == 5 and at_end and r <= 4:
+                return make_label("H", r)
+        if not high and len(branches) == 1 and len(adj[branches[0]]) == 3:
+            node = branches[0]
+            arms = sorted(_arm_length(adj, node, x) for x in adj[node])
+            if arms[:2] == [1, 1]:
+                return make_label("D", r)
+            if arms[:2] == [1, 2] and arms[2] <= 4:
+                return make_label("E", r)
+    raise InfiniteTypeError(
+        f"a connected Coxeter graph of rank {r} with bonds "
+        f"{sorted(bonds.values())} is not a finite type: "
+        "this Coxeter matrix defines an infinite group"
+    )
+
+
+def _arm_length(adj: dict, node, start) -> int:
+    """Nodes on the path from node's neighbour start out to a leaf."""
+    length, prev, cur = 1, node, start
+    while len(adj[cur]) == 2:
+        prev, cur = cur, next(x for x in adj[cur] if x != prev)
+        length += 1
+    return length
 
 
 def root_count(label: TypeLabel) -> int:
@@ -313,6 +308,80 @@ def root_count(label: TypeLabel) -> int:
         "I": label.bond,
     }[label.family]
     return n * coxeter_number
+
+
+# ----------------------------------------------------------------------
+# root systems
+
+#: per bond m: the squared-length ratio of the two simple roots across it,
+#: and 2k_m = p + q*phi as the pair (p, q), where
+#: B(a_i, a_j) = -k_m * min(B(a_i, a_i), B(a_j, a_j))
+_BOND_FORM = {
+    2: (1, (0, 0)),
+    3: (1, (1, 0)),
+    4: (2, (2, 0)),
+    5: (1, (0, 1)),
+    6: (3, (3, 0)),
+}
+
+
+def _reference_gram(matrix: CoxeterMatrix) -> tuple:
+    """The form on the Cartan-normalized simple roots, as FieldScalars.
+
+    A reference, which the build never evaluates.  The first generator of
+    each component gets squared length 1, and the lengths spread along
+    the bonds of the Coxeter graph with the ratios of _BOND_FORM, the
+    later generator of a bond getting the longer root.  A cycle whose
+    ratios conflict raises InfiniteTypeError (every cycle is infinite).
+    """
+    n = matrix.rank
+    lengths: list = [None] * n
+    for first in range(n):
+        stack = [] if lengths[first] else [first]
+        lengths[first] = lengths[first] or Fraction(1)
+        while stack:
+            i = stack.pop()
+            for j, m in enumerate(matrix.rows[i]):
+                if m < 3:
+                    continue
+                ratio = _BOND_FORM[m][0]
+                want = lengths[i] * ratio if j > i else lengths[i] / ratio
+                if lengths[j] is None:
+                    lengths[j] = want
+                    stack.append(j)
+                elif lengths[j] != want:
+                    raise InfiniteTypeError(
+                        "root lengths conflict around a cycle of the "
+                        "Coxeter graph: this matrix defines an infinite group"
+                    )
+    return tuple(
+        tuple(
+            FieldScalar.from_rational(lengths[i])
+            if i == j
+            else FieldScalar(tuple(Fraction(x, 2) for x in _BOND_FORM[m][1]))
+            * -min(lengths[i], lengths[j])
+            for j, m in enumerate(row)
+        )
+        for i, row in enumerate(matrix.rows)
+    )
+
+
+def _check_table_bytes(n_roots: int) -> None:
+    """Refuse a build whose reflection table would pass TABLE_CAP_BYTES."""
+    size = (n_roots // 2) * n_roots * 4
+    if size > TABLE_CAP_BYTES:
+        raise CapExceededError(
+            f"a system with {n_roots} or more roots needs a reflection table "
+            f"of at least {size} bytes, over the cap of {TABLE_CAP_BYTES}"
+        )
+
+
+def _phi_order(x: list, y: list) -> int:
+    """Compare lists of pairs (a, b) lexicographically, each as a + b*phi."""
+    for u, v in zip(x, y):
+        if u != v:
+            return phi_sign(u[0] - v[0], u[1] - v[1])
+    return 0
 
 
 class RootSystem:
@@ -332,64 +401,53 @@ class RootSystem:
     putting [a, b] in the first and [b, a + b] in the second (degree 2,
     twice the rank over Q(phi) as the rank over Q).  The reference view,
     which tests and verify compare against, is roots (tuples of
-    FieldScalar), gram (the form on the simple roots) and bilinear.
+    FieldScalar), gram (the form on the simple roots) and bilinear; it is
+    built on first use.
     """
 
     def __init__(self, matrix: CoxeterMatrix, label: TypeLabel | None = None):
-        if matrix.max_bond > 6:
+        n = matrix.rank
+        bonds = {
+            (i, j): m
+            for i, row in enumerate(matrix.rows)
+            for j, m in enumerate(row[i + 1 :], i + 1)
+            if m > 2
+        }
+        if any(m > 6 for m in bonds.values()):
             raise UnsupportedBondError(
                 "bond labels above 6 leave the field Q(phi); "
                 "use the symbolic dihedral model for I2(m), m > 6"
             )
-        if label is not None:
-            # a named type's table size is known before a root is built
-            _check_table_bytes(root_count(label))
+        # the diagram's types fix the root count before a root is built
+        n_roots = sum(root_count(t) for t, _ in recognize(range(n), bonds))
+        _check_table_bytes(n_roots)
         self.matrix = matrix
         self.label = label
-        n = matrix.rank
         self.rank = n
-        lengths = _squared_lengths(matrix)
-        gram = [
-            [
-                FieldScalar.from_rational(lengths[i])
-                if i == j
-                else -_BOND_FORM[matrix.entry(i, j)][1] * min(lengths[i], lengths[j])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        self.gram = tuple(tuple(row) for row in gram)
-        if not linalg.is_positive_definite(gram):
-            raise InfiniteTypeError(
-                "the bilinear form is not positive definite: "
-                "this Coxeter matrix defines an infinite group"
-            )
         # Cartan entries 2 B(a_s, a_j) / B(a_s, a_s) = p + q*phi, the nonzero
-        # ones per row s as (j, p, q): 2 on the diagonal, -1, -2, -3 or -phi
-        cartan = [
-            [(j, *(g * (2 / lengths[s])).coords) for j, g in enumerate(row) if g]
-            for s, row in enumerate(gram)
-        ]
-        if any(q.denominator != 1 for row in cartan for e in row for q in e[1:]):
-            raise RecognitionError(
-                "a Cartan entry is not in Z[phi]; "
-                "Cartan-normalized roots must be integral"
-            )
-        self._cartan = tuple(
-            tuple((j, p.numerator, q.numerator) for j, p, q in row) for row in cartan
+        # ones per row s as (j, p, q): 2 on the diagonal, then -2k_m on the
+        # shorter root's row and -2k_m / ratio on the longer (later) one's
+        cartan = [[(s, 2, 0)] for s in range(n)]
+        for (i, j), m in bonds.items():
+            ratio, (p, q) = _BOND_FORM[m]
+            cartan[i].append((j, -p, -q))
+            cartan[j].append((i, -p // ratio, -q // ratio))
+        self._cartan = cartan
+        positives = self._orbit_closure(n_roots)
+        self.int_degree = 2 if any(any(r[1::2]) for r in positives) else 1
+        # by height, then coordinates, each as a pair (a, b) = a + b*phi
+        order = cmp_to_key(_phi_order)
+        positives.sort(
+            key=lambda r: order([(sum(r[::2]), sum(r[1::2])), *zip(r[::2], r[1::2])])
         )
-        positives, view = self._orbit_closure()
-        positives.sort(key=lambda r: (sum(view[r], start=ZERO), view[r]))
         self.n_pos = len(positives)
         self.n_roots = 2 * self.n_pos
         flat = positives + [tuple(-x for x in r) for r in positives]
-        self.roots = tuple(view[r] for r in flat)
         index = {r: i for i, r in enumerate(flat)}
         self.simple_idx = tuple(
             index[tuple(int(k == 2 * s) for k in range(2 * n))] for s in range(n)
         )
         self.reflection_table = self._build_reflection_table(flat, index)
-        self.int_degree = 2 if any(any(r[1::2]) for r in positives) else 1
         self.int_rows = tuple(
             (r, tuple(x for a, b in zip(r[::2], r[1::2]) for x in (b, a + b)))
             if self.int_degree == 2
@@ -420,9 +478,9 @@ class RootSystem:
         new[2 * s + 1] -= db
         return tuple(new)
 
-    def _orbit_closure(self) -> tuple[list, dict]:
-        """The positive flat roots, and the FieldScalar view of every root,
-        which decides its sign; equal coordinates share one FieldScalar."""
+    def _orbit_closure(self, n_roots: int) -> list:
+        """The positive flat roots: the orbit of the simple roots, which
+        must hold exactly the n_roots roots the recognizer predicted."""
         n = self.rank
         units = [tuple(int(k == 2 * s) for k in range(2 * n)) for s in range(n)]
         seen = set(units)
@@ -435,21 +493,22 @@ class RootSystem:
                     if img not in seen:
                         seen.add(img)
                         nxt.append(img)
-            # seen only grows, so the table is refused as soon as it must
-            # pass the cap; after the last level the count is exact
-            _check_table_bytes(len(seen))
+            if len(seen) > n_roots:
+                raise RecognitionError(
+                    f"the orbit of the simple roots passes the {n_roots} "
+                    "roots of the recognized type"
+                )
             frontier = nxt
-        pairs = {p for root in seen for p in zip(root[::2], root[1::2])}
-        scalar = {p: FieldScalar(tuple(map(Fraction, p))) for p in pairs}
-        view = {r: tuple(scalar[p] for p in zip(r[::2], r[1::2])) for r in seen}
-        positives = [r for r, v in view.items() if all(c.sign() >= 0 for c in v)]
-        # -roots = roots, so this fails exactly when a root has mixed signs
-        if 2 * len(positives) != len(seen):
+        positives = [
+            r for r in seen if all(phi_sign(a, b) >= 0 for a, b in zip(r[::2], r[1::2]))
+        ]
+        # -roots = roots, so this fails when a root has mixed signs
+        if len(seen) != n_roots or 2 * len(positives) != n_roots:
             raise RecognitionError(
-                "root with mixed coordinate signs; the geometric "
-                "representation is inconsistent"
+                f"{len(seen)} roots, {len(positives)} positive, against the "
+                f"{n_roots} of the recognized type"
             )
-        return positives, view
+        return positives
 
     def _build_reflection_table(self, flat: list, index: dict) -> np.ndarray:
         n_pos, n_roots = self.n_pos, self.n_roots
@@ -489,6 +548,24 @@ class RootSystem:
     def reflection_perm(self, t: int) -> np.ndarray:
         """Permutation of root indices for the reflection along root t."""
         return self.reflection_table[t if t < self.n_pos else t - self.n_pos]
+
+    @cached_property
+    def roots(self) -> tuple:
+        """Reference view: each root as a tuple of FieldScalar coordinates,
+        read off int_rows; equal coordinates share one FieldScalar."""
+        pairs = [
+            list(zip(row[::2], row[1::2]))
+            if self.int_degree == 2
+            else [(a, 0) for a in row]
+            for row, *_ in self.int_rows
+        ]
+        scalar = {p: FieldScalar(tuple(map(Fraction, p))) for r in pairs for p in r}
+        return tuple(tuple(scalar[p] for p in r) for r in pairs)
+
+    @cached_property
+    def gram(self) -> tuple:
+        """Reference view: the form on the simple roots."""
+        return _reference_gram(self.matrix)
 
     def bilinear(self, i: int, j: int) -> FieldScalar:
         """Form value B(root_i, root_j), on the reference view."""

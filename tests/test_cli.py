@@ -1,6 +1,7 @@
 """Command line interface: outputs, exit codes, file formats."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -242,3 +243,12 @@ def test_verify_unknown_check_name(capsys):
     code, _, err = run(capsys, "verify", "--only", "nonsense")
     assert code == 2
     assert "no check matches" in err
+
+
+def test_oversized_matrix_file_is_refused_from_its_diagram(capsys):
+    # the recognizer names A108 before any root exists, like the label
+    path = Path(__file__).parent / "data" / "matrices" / "a108.txt"
+    code, out, err = run(capsys, "build", str(path))
+    assert code == 2
+    assert out == ""
+    assert "11772 or more roots" in err

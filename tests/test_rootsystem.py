@@ -1,5 +1,8 @@
 """Root system construction: labels, matrices, root counts, angles."""
 
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
 from coxabs import rootsystem
@@ -18,6 +21,12 @@ from coxabs.rootsystem import (
     parse_label,
 )
 
+MATRICES = Path(__file__).parent / "data" / "matrices"
+
+
+def matrix_file(name):
+    return CoxeterMatrix.from_text((MATRICES / f"{name}.txt").read_text())
+
 # (name, rank, positive root count, group order)
 KNOWN_SYSTEMS = [
     ("A1", 1, 1, 2),
@@ -33,6 +42,13 @@ KNOWN_SYSTEMS = [
     ("E6", 6, 36, 51840),
     ("I2(5)", 2, 5, 10),
     ("I2(6)", 2, 6, 12),
+]
+
+
+# every named type the test suite builds
+BUILT_TYPES = [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "B6", "D4", "D5",
+    "D6", "D8", "E6", "E7", "E8", "F4", "H3", "H4", "I2(5)", "I2(6)",
 ]
 
 
@@ -215,15 +231,15 @@ def test_reflection_table_is_an_involution_on_roots():
             assert moved_out == 1
 
 
-def test_positive_roots_sorted_by_height():
-    system = RootSystem.named("B3")
-    heights = [
-        float(sum(system.roots[i], start=ZERO)) for i in range(system.n_pos)
-    ]
-    assert heights == sorted(heights)
+@pytest.mark.parametrize("name", ["B3", "F4", "H3", "H4", "I2(5)", "G2"])
+def test_positive_roots_sorted_by_height(name):
+    # exact FieldScalar order on (height, coordinates) of the reference roots
+    system = RootSystem.named(name)
+    keys = [(sum(root, start=ZERO), root) for root in system.roots[: system.n_pos]]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
     # simple roots are coordinate units, hence the lowest layer
     for s in system.simple_idx:
-        assert heights[s] == pytest.approx(1.0)
+        assert keys[s][0] == ONE
 
 
 @pytest.mark.parametrize("name,degree", [("B3", 1), ("G2", 1), ("H3", 2), ("I2(5)", 2)])
@@ -244,14 +260,45 @@ def test_integer_rows_embed_the_roots(name, degree):
         assert rank_rational(rows) == degree * rank([system.roots[i] for i in idx])
 
 
-def test_non_integral_cartan_entry_is_refused(monkeypatch):
-    # k = 1/3 keeps the A3 form positive definite, but makes the Cartan
-    # entry 2 B(a_1, a_2) / B(a_1, a_1) = -2/3, so the roots leave Z[phi]
-    monkeypatch.setitem(
-        rootsystem._BOND_FORM, 3, (1, FieldScalar.from_rational(1, 3))
-    )
-    with pytest.raises(RecognitionError):
-        RootSystem(named_coxeter_matrix("A3"))
+@pytest.mark.parametrize("source", BUILT_TYPES + ["h3.txt", "f4.txt", "g2.txt"])
+def test_cartan_entries_match_the_reference_form(source):
+    # the build's integer entries are 2 B(a_s, a_j) / B(a_s, a_s)
+    if source.endswith(".txt"):
+        system = RootSystem(matrix_file(source[:-4]))
+    else:
+        system = RootSystem.named(source)
+    gram = system.gram
+    for s, row in enumerate(system._cartan):
+        entries = {j: FieldScalar((Fraction(p), Fraction(q))) for j, p, q in row}
+        assert len(entries) == len(row)
+        for j in range(system.rank):
+            assert entries.get(j, ZERO) == 2 * gram[s][j] / gram[s][s]
+
+
+#: every FieldScalar ring operation, comparison and constructor
+FIELD_OPS = [
+    "__init__", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+    "__mul__", "__rmul__", "invert", "__truediv__", "__rtruediv__", "sign",
+    "__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+]
+
+
+def test_the_build_makes_no_field_scalar_operation(monkeypatch):
+    calls = []
+    for op in FIELD_OPS:
+
+        def counted(*args, _original=getattr(FieldScalar, op), _op=op):
+            calls.append(_op)
+            return _original(*args)
+
+        monkeypatch.setattr(FieldScalar, op, counted)
+    for name in BUILT_TYPES:
+        RootSystem(named_coxeter_matrix(name), parse_label(name))
+    system = RootSystem(matrix_file("h3"))
+    assert calls == []
+    # the wrapper does count: the reference view is FieldScalar
+    assert system.gram[0][1] < ZERO and system.roots
+    assert "__init__" in calls and "sign" in calls
 
 
 def test_oversized_reflection_table_is_refused(monkeypatch):
@@ -265,13 +312,6 @@ def test_oversized_reflection_table_is_refused(monkeypatch):
     assert RootSystem(matrix).reflection_table.nbytes == 800
 
 
-# every named type the test suite builds
-BUILT_TYPES = [
-    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "B6", "D4", "D5",
-    "D6", "D8", "E6", "E7", "E8", "F4", "H3", "H4", "I2(5)", "I2(6)",
-]
-
-
 @pytest.mark.parametrize("name", BUILT_TYPES)
 def test_root_count_formula_matches_the_build(name):
     system = RootSystem.named(name)
@@ -279,12 +319,15 @@ def test_root_count_formula_matches_the_build(name):
 
 
 def test_oversized_named_type_is_refused_before_the_orbit_closure(monkeypatch):
-    def entered(self):
+    def entered(self, n_roots):
         raise AssertionError("the orbit closure ran")
 
     monkeypatch.setattr(RootSystem, "_orbit_closure", entered)
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match="11772 or more roots"):
         RootSystem.named("A108")
+    # a matrix file is named by the recognizer first, and refused alike
+    with pytest.raises(CapExceededError, match="11772 or more roots"):
+        RootSystem(matrix_file("a108"))
     # A107 is the last A_n under the cap
     rootsystem._check_table_bytes(rootsystem.root_count(parse_label("A107")))
 
