@@ -7,9 +7,11 @@ the closures of its elements are pairwise stable under intersection;
 both facts are verified mechanically by the test suite rather than
 assumed, so this module keeps two fully independent lattice tests:
 
-  * is_lattice_bruteforce works on the order matrix alone, scanning every
-    pair for a unique greatest lower bound;
-  * is_lattice_structural never looks at the order matrix and instead
+  * is_lattice_bruteforce works on the interval order alone: down-sets
+    built from the covers x = y t (t a reflection, one rank down) as
+    bitsets, and one scan asking of every incomparable pair whether its
+    common lower bounds form a down-set;
+  * is_lattice_structural never looks at the interval order and instead
     intersects parabolic closures, asking each intersection whether its
     longest element acts as -Id on its span.
 """
@@ -25,6 +27,7 @@ from .element import Element
 from .parabolic import (
     Parabolic,
     all_subparabolics,
+    indices_from_mask,
     involutions_with_words,
     parabolic_closure,
 )
@@ -45,36 +48,50 @@ class IntervalPoset:
     """The interval [1, top] in the absolute order, fully materialized.
 
     elements[i] is an involution, words[i] one minimal reflection word
-    for it, ranks[i] its reflection length, and leq the full order
-    matrix.  hasse lists the covering pairs (lower id, upper id).
+    for it and ranks[i] its reflection length; ids run in rank order.
+    down[i] is the down-set of element i as a bitset (bit k set when
+    element k lies below it), hasse lists the covering pairs (lower id,
+    upper id) in sorted order, and ids maps perm.tobytes() to the id.
     """
 
     top: Element
     elements: list[Element]
     words: list[tuple[int, ...]]
     ranks: np.ndarray
-    leq: np.ndarray
+    down: list[int]
     hasse: list[tuple[int, int]]
+    ids: dict[bytes, int]
 
     @property
     def size(self) -> int:
         return len(self.elements)
 
+    def leq(self, i: int, j: int) -> bool:
+        """Whether element i lies below element j."""
+        return bool(self.down[j] >> i & 1)
+
     def index_of(self, x: Element) -> int:
-        key = x.perm.tobytes()
-        for i, e in enumerate(self.elements):
-            if e.perm.tobytes() == key:
-                return i
-        raise KeyError("element is not in the interval")
+        try:
+            return self.ids[x.perm.tobytes()]
+        except KeyError:
+            raise KeyError("element is not in the interval") from None
 
 
 def interval_of_involution(u: Element) -> IntervalPoset:
     """Materialize [1, u] for an involution u.
 
-    Candidates are the involutions of the parabolic closure of u, but
+    Candidates are the involutions of the parabolic closure P(u), but
     each one is kept only if its reflection length is additive against
     u, so the element set is the true interval by construction and the
     candidate source is merely a complete search space.
+
+    The order comes from the covers.  Since l_T(t) = 1 for a reflection
+    t, x lies below y with ranks differing by one exactly when x = y t
+    for a reflection t, and every x <= y is reached along such steps
+    (the prefixes of a T-reduced word of x^-1 y), all of them reflections
+    of P(u).  So in rank order each down-set is y itself joined with the
+    down-sets of its lower covers y t, with no reflection length of a
+    product taken.
     """
     if not u.is_involution:
         raise ValueError("interval construction requires an involution top")
@@ -89,26 +106,28 @@ def interval_of_involution(u: Element) -> IntervalPoset:
         if e.reflection_length() + rest.reflection_length() == ell_u:
             elements.append(e)
             words.append(w)
-    n = len(elements)
     ranks = np.array([e.reflection_length() for e in elements], dtype=np.int16)
-    leq = np.zeros((n, n), dtype=bool)
-    perms = [e.perm for e in elements]
-    for i in range(n):
-        leq[i, i] = True
-        for j in range(n):
-            if ranks[i] < ranks[j]:
-                # x_i^-1 x_j, using that interval elements are involutions
-                prod = Element(sys, perms[i][perms[j]])
-                leq[i, j] = ranks[i] + prod.reflection_length() == ranks[j]
-    hasse = []
-    for i in range(n):
-        for j in range(n):
-            if ranks[j] == ranks[i] + 1 and leq[i, j]:
-                hasse.append((i, j))
-    top_key = u.perm.tobytes()
-    if not any(e.perm.tobytes() == top_key for e in elements):
+    if np.any(np.diff(ranks) < 0):
+        raise AssertionError("interval elements are not in rank order")
+    ids = {e.perm.tobytes(): i for i, e in enumerate(elements)}
+    if u.perm.tobytes() not in ids:
         raise AssertionError("top element missing from its own interval")
-    return IntervalPoset(u, elements, words, ranks, leq, hasse)
+    reflections = sys.reflection_table[list(p.root_indices)]
+    width = reflections.shape[1] * reflections.itemsize
+    rank_of = ranks.tolist()
+    down = []
+    hasse = []
+    for y, e in enumerate(elements):
+        below = 1 << y
+        products = e.perm[reflections].tobytes()  # row k is y t_k
+        for start in range(0, len(products), width):
+            x = ids.get(products[start : start + width])
+            if x is not None and rank_of[x] == rank_of[y] - 1:
+                below |= down[x]
+                hasse.append((x, y))
+        down.append(below)
+    hasse.sort()
+    return IntervalPoset(u, elements, words, ranks, down, hasse, ids)
 
 
 # ----------------------------------------------------------------------
@@ -124,26 +143,35 @@ class MeetFailure:
     maximal_lower_bound_ids: tuple[int, ...]
 
 
-def maximal_lower_bounds(leq: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Ids of the maximal common lower bounds of i and j in an order matrix."""
-    ids = np.nonzero(leq[:, i] & leq[:, j])[0]
-    return ids[leq[np.ix_(ids, ids)].sum(axis=1) == 1]
+def maximal_lower_bounds(down: list[int], i: int, j: int) -> tuple[int, ...]:
+    """Ids of the maximal common lower bounds of i and j, ascending."""
+    common = indices_from_mask(down[i] & down[j])
+    strictly_below = 0
+    for k in common:
+        strictly_below |= down[k] ^ (1 << k)
+    return tuple(k for k in common if not strictly_below >> k & 1)
 
 
-def first_meet_failure(leq: np.ndarray):
-    """The first incomparable pair without a unique maximal lower bound.
+def first_meet_failure(down: list[int]):
+    """The first incomparable pair without a greatest lower bound.
 
-    Scans j, then i < j, and returns (i, j, maximal lower bound ids), or
-    None when every pair has a greatest lower bound.
+    down[k] is the down-set of k as a bitset, with ids numbered along a
+    linear extension of the order (x < y gives id x < id y), so a pair
+    i < j is comparable exactly when bit i of down[j] is set.  An
+    incomparable pair has a meet exactly when its common lower bounds
+    form some down-set.  Scans j, then i < j, and returns (i, j), or None
+    when every pair has a greatest lower bound.
     """
-    n = len(leq)
-    for j in range(n):
-        for i in range(j):
-            if leq[i, j] or leq[j, i]:
-                continue
-            maximal = maximal_lower_bounds(leq, i, j)
-            if len(maximal) != 1:
-                return i, j, maximal
+    principal = set(down)
+    nbytes = (len(down) + 7) // 8
+    for j, below_j in enumerate(down):
+        bits = np.unpackbits(
+            np.frombuffer(below_j.to_bytes(nbytes, "little"), np.uint8),
+            bitorder="little",
+        )
+        for i in np.flatnonzero(bits[:j] == 0).tolist():
+            if down[i] & below_j not in principal:
+                return i, j
     return None
 
 
@@ -154,11 +182,11 @@ def is_lattice_bruteforce(poset: IntervalPoset):
     suffice for being a lattice.  Returns (True, None) or
     (False, MeetFailure) for the first failing pair in scan order.
     """
-    failure = first_meet_failure(poset.leq)
+    failure = first_meet_failure(poset.down)
     if failure is None:
         return True, None
-    i, j, maximal = failure
-    return False, MeetFailure(i, j, tuple(int(x) for x in maximal))
+    i, j = failure
+    return False, MeetFailure(i, j, maximal_lower_bounds(poset.down, i, j))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -179,7 +207,7 @@ class IntersectionFailure:
 
 
 def is_lattice_structural(u: Element):
-    """Decide lattice-ness from closures alone, no order matrix.
+    """Decide lattice-ness from closures alone, no interval order.
 
     Intersects the parabolic closures of all pairs of interval elements
     and checks every intersection is involutive.  Returns (True, None)
@@ -191,12 +219,14 @@ def is_lattice_structural(u: Element):
     p = parabolic_closure(u)
     pairs = involutions_with_words(p)
     masks = [parabolic_closure(e).mask for e, _ in pairs]
-    n = len(masks)
-    for j in range(n):
-        mj = masks[j]
+    involutive: dict[int, bool] = {}  # one verdict per distinct intersection
+    for j, mj in enumerate(masks):
         for i in range(j):
             inter = masks[i] & mj
-            if not Parabolic(sys, inter).is_involutive:
+            ok = involutive.get(inter)
+            if ok is None:
+                ok = involutive[inter] = Parabolic(sys, inter).is_involutive
+            if not ok:
                 return False, IntersectionFailure(
                     Parabolic(sys, masks[i]),
                     Parabolic(sys, mj),
@@ -210,19 +240,18 @@ def meet(poset: IntervalPoset, v: Element, w: Element) -> Element:
 
     Computed structurally as the central involution of the intersection
     of the two closures, then verified to be the unique maximal lower
-    bound in the order matrix; a verification failure means the interval
-    is not a lattice and raises ValueError.
+    bound in the interval order; a verification failure means the
+    interval is not a lattice and raises ValueError.
     """
     i = poset.index_of(v)
     j = poset.index_of(w)
     inter = parabolic_closure(v).intersect(parabolic_closure(w))
     central = inter.central_involution
-    maximal = maximal_lower_bounds(poset.leq, i, j)
+    maximal = maximal_lower_bounds(poset.down, i, j)
     if central is None or len(maximal) != 1:
         raise ValueError("interval is not a lattice at this pair")
-    candidate = poset.elements[int(maximal[0])]
-    if candidate != central:
-        raise ValueError("structural meet disagrees with the order matrix")
+    if poset.elements[maximal[0]] != central:
+        raise ValueError("structural meet disagrees with the interval order")
     return central
 
 
@@ -246,16 +275,12 @@ def closure_map_report(u: Element) -> dict:
         q.mask for q in all_subparabolics(p) if q.is_involutive
     }
     surjective = set(masks) == involutive_masks
-    order_iso = True
     n = interval.size
-    for i in range(n):
-        for j in range(n):
-            contained = masks[i] & ~masks[j] == 0
-            if bool(interval.leq[i, j]) != contained:
-                order_iso = False
-                break
-        if not order_iso:
-            break
+    order_iso = all(
+        interval.leq(i, j) == (masks[i] & ~masks[j] == 0)
+        for j in range(n)
+        for i in range(n)
+    )
     return {
         "injective": injective,
         "surjective": surjective,

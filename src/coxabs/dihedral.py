@@ -17,6 +17,7 @@ import dataclasses
 import numpy as np
 
 from .absorder import first_meet_failure
+from .parabolic import mask_from_indices
 from .rootsystem import format_type_multiset, make_label
 
 
@@ -181,7 +182,9 @@ class Dihedral:
 
     def lattice_bruteforce(self, u: DihedralElement):
         members, _, leq = self.interval(u)
-        failure = first_meet_failure(leq)
+        # members run in rank order, a linear extension, as the scan needs
+        down = [mask_from_indices(np.flatnonzero(col)) for col in leq.T]
+        failure = first_meet_failure(down)
         if failure is None:
             return True, None
         return False, (members[failure[0]], members[failure[1]])

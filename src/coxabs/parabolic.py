@@ -27,10 +27,10 @@ from itertools import combinations
 
 import numpy as np
 
-from . import linalg
+from . import linalg, rootsystem
 from .element import Element
 from .linalg import Subspace
-from .rootsystem import RootSystem, TypeLabel, recognize
+from .rootsystem import CapExceededError, RootSystem, TypeLabel, recognize
 
 
 def indices_from_mask(mask: int) -> tuple[int, ...]:
@@ -152,21 +152,26 @@ class Parabolic:
             info["simples"] = tuple(simples)
         return info["simples"]
 
+    def _diagram(self) -> list[tuple[TypeLabel, tuple]]:
+        """recognize on the simple system, with the bonds of its
+        non-orthogonal pairs read off the reflection table."""
+        sys = self.system
+        bonds = {
+            (a, b): sys.bond_between(a, b)
+            for a, b in combinations(self.simple_system, 2)
+            if not sys.orthogonality[a, b]
+        }
+        return recognize(self.simple_system, bonds)
+
     @property
     def components(self) -> tuple["Parabolic", ...]:
-        """Irreducible components, each again a Parabolic and named by
-        recognize from the bonds of the non-orthogonal simple roots."""
+        """Irreducible components, each again a Parabolic, named by
+        recognize."""
         info = self._info()
         if "components" not in info:
-            sys = self.system
-            bonds = {
-                (a, b): sys.bond_between(a, b)
-                for a, b in combinations(self.simple_system, 2)
-                if not sys.orthogonality[a, b]
-            }
             comps = []
-            for label, simples in recognize(self.simple_system, bonds):
-                comp = closure_of_roots(sys, simples)
+            for label, simples in self._diagram():
+                comp = closure_of_roots(self.system, simples)
                 comp._info()["types"] = (label,)
                 comps.append(comp)
             info["components"] = tuple(sorted(comps, key=lambda p: p.root_indices))
@@ -177,7 +182,7 @@ class Parabolic:
         """Sorted multiset of irreducible types of the components."""
         info = self._info()
         if "types" not in info:
-            info["types"] = tuple(sorted(c.type_labels[0] for c in self.components))
+            info["types"] = tuple(sorted(label for label, _ in self._diagram()))
         return info["types"]
 
     @property
@@ -311,16 +316,28 @@ def involutions_with_words(p: Parabolic) -> list[tuple[Element, tuple[int, ...]]
     subsystem's positive roots in lexicographic order and keeps the first
     word found for each element.  The identity appears with the empty
     word.  Results are sorted by reflection length, then by permutation.
+
+    The involutions of P(u) are the candidates of the interval [1, u],
+    whose down-set table takes up to count^2 / 8 bytes; the search raises
+    CapExceededError as soon as the count passes what TABLE_CAP_BYTES
+    admits, before it holds the rest.
     """
     sys = p.system
     idx = p.root_indices
     orth = sys.orthogonality
+    cap = rootsystem.TABLE_CAP_BYTES
+    most = math.isqrt(8 * cap)
     found: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
 
     def visit(perm: np.ndarray, clique: tuple[int, ...], allowed: tuple[int, ...]):
         key = perm.tobytes()
         if key not in found:
             found[key] = (perm, clique)
+            if len(found) > most:
+                raise CapExceededError(
+                    f"the involution search passed {most} elements, whose "
+                    f"down-set table would pass the cap of {cap} bytes"
+                )
         for k, t in enumerate(allowed):
             nxt = tuple(u for u in allowed[k + 1 :] if orth[t, u])
             visit(perm[sys.reflection_table[t]], clique + (t,), nxt)

@@ -433,21 +433,23 @@ class RootSystem:
             cartan[i].append((j, -p, -q))
             cartan[j].append((i, -p // ratio, -q // ratio))
         self._cartan = cartan
-        positives = self._orbit_closure(n_roots)
-        self.int_degree = 2 if any(any(r[1::2]) for r in positives) else 1
+        found, images = self._orbit_closure(n_roots)
+        self.int_degree = 2 if any(any(r[1::2]) for r in found) else 1
         # by height, then coordinates, each as a pair (a, b) = a + b*phi
-        order = cmp_to_key(_phi_order)
-        positives.sort(
-            key=lambda r: order([(sum(r[::2]), sum(r[1::2])), *zip(r[::2], r[1::2])])
-        )
+        key = cmp_to_key(_phi_order)
+        keys = [
+            key([(sum(r[::2]), sum(r[1::2])), *zip(r[::2], r[1::2])]) for r in found
+        ]
+        order = sorted(range(len(found)), key=keys.__getitem__)
+        positives = [found[k] for k in order]
         self.n_pos = len(positives)
         self.n_roots = 2 * self.n_pos
         flat = positives + [tuple(-x for x in r) for r in positives]
-        index = {r: i for i, r in enumerate(flat)}
-        self.simple_idx = tuple(
-            index[tuple(int(k == 2 * s) for k in range(2 * n))] for s in range(n)
-        )
-        self.reflection_table = self._build_reflection_table(flat, index)
+        index = np.empty(self.n_pos, dtype=np.int32)
+        index[order] = np.arange(self.n_pos, dtype=np.int32)
+        # the simple roots are the first n found
+        self.simple_idx = tuple(int(index[s]) for s in range(n))
+        self.reflection_table = self._build_reflection_table(images[order], index)
         self.int_rows = tuple(
             (r, tuple(x for a, b in zip(r[::2], r[1::2]) for x in (b, a + b)))
             if self.int_degree == 2
@@ -478,47 +480,61 @@ class RootSystem:
         new[2 * s + 1] -= db
         return tuple(new)
 
-    def _orbit_closure(self, n_roots: int) -> list:
-        """The positive flat roots: the orbit of the simple roots, which
-        must hold exactly the n_roots roots the recognizer predicted."""
-        n = self.rank
-        units = [tuple(int(k == 2 * s) for k in range(2 * n)) for s in range(n)]
-        seen = set(units)
-        frontier = units
-        while frontier:
-            nxt = []
-            for root in frontier:
-                for s in range(n):
-                    img = self._reflect(s, root)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            if len(seen) > n_roots:
-                raise RecognitionError(
-                    f"the orbit of the simple roots passes the {n_roots} "
-                    "roots of the recognized type"
-                )
-            frontier = nxt
-        positives = [
-            r for r in seen if all(phi_sign(a, b) >= 0 for a, b in zip(r[::2], r[1::2]))
-        ]
-        # -roots = roots, so this fails when a root has mixed signs
-        if len(seen) != n_roots or 2 * len(positives) != n_roots:
-            raise RecognitionError(
-                f"{len(seen)} roots, {len(positives)} positive, against the "
-                f"{n_roots} of the recognized type"
-            )
-        return positives
+    def _orbit_closure(self, n_roots: int) -> tuple[list, np.ndarray]:
+        """The positive flat roots, simple roots first, and their images
+        under the simple reflections: row k of the array holds, per s, the
+        position of s(root k) in the list, or -1 where s sends a_s to -a_s.
 
-    def _build_reflection_table(self, flat: list, index: dict) -> np.ndarray:
+        s permutes the positive roots other than a_s, so the walk stays
+        among the positives, which must be exactly the n_roots / 2 of the
+        recognized type.
+        """
+        n = self.rank
+        found = [tuple(int(k == 2 * s) for k in range(2 * n)) for s in range(n)]
+        position = {r: k for k, r in enumerate(found)}
+        images = []
+        for k, root in enumerate(found):  # found grows during the walk
+            row = []
+            for s in range(n):
+                if k == s:
+                    row.append(-1)
+                    continue
+                img = self._reflect(s, root)
+                j = position.get(img)
+                if j is None:
+                    j = position[img] = len(found)
+                    found.append(img)
+                    if 2 * len(found) > n_roots:
+                        raise RecognitionError(
+                            f"the orbit of the simple roots passes the {n_roots} "
+                            "roots of the recognized type"
+                        )
+                row.append(j)
+            images.append(row)
+        # a root with a negative coordinate fails when the Cartan entries
+        # are not those of the recognized finite type
+        if 2 * len(found) != n_roots or any(
+            phi_sign(a, b) < 0 for r in found for a, b in zip(r[::2], r[1::2])
+        ):
+            raise RecognitionError(
+                f"the walk from the simple roots found {len(found)} roots for "
+                f"the {n_roots // 2} positive roots of the recognized type, "
+                "or one with a negative coordinate"
+            )
+        return found, np.array(images, dtype=np.int32)
+
+    def _build_reflection_table(self, images: np.ndarray, index: np.ndarray):
+        """The reflection table from the closure's images of the positive
+        roots (images, rows in index order), using s(-r) = -s(r)."""
         n_pos, n_roots = self.n_pos, self.n_roots
         table = np.full((n_pos, n_roots), -1, dtype=np.int32)
         simple_perms = {}
         for s in range(self.rank):
             t = self.simple_idx[s]
-            perm = np.array([index[self._reflect(s, r)] for r in flat], np.int32)
-            table[t] = perm
-            simple_perms[t] = perm
+            col = images[:, s]  # -1 only where s sends a_s to -a_s
+            image = np.where(col < 0, t + n_pos, index[col])
+            table[t] = np.concatenate([image, (image + n_pos) % n_roots])
+            simple_perms[t] = table[t]
         # remaining reflections by conjugation: the reflection along s(b)
         # is s r_b s, so a breadth-first walk from the simples fills the
         # table with pure permutation composition

@@ -2,20 +2,26 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from coxabs import rootsystem
 from coxabs.absorder import (
     closure_map_report,
+    first_meet_failure,
     interval_of_involution,
     is_lattice_bruteforce,
     is_lattice_structural,
     leq_T,
+    maximal_lower_bounds,
     meet,
     poset_to_dot,
     poset_to_json,
     poset_to_json_dict,
 )
+from coxabs.dihedral import Dihedral
 from coxabs.element import (
+    Element,
     enumerate_group,
     from_word,
     identity,
@@ -23,7 +29,14 @@ from coxabs.element import (
     reflection,
     simple_reflection,
 )
-from coxabs.rootsystem import RootSystem
+from coxabs.parabolic import Parabolic, involutions_with_words
+from coxabs.rootsystem import (
+    CapExceededError,
+    RootSystem,
+    named_coxeter_matrix,
+    parse_label,
+)
+from coxabs.verify import SMALL_GROUP_TYPES
 
 
 def test_leq_T_additivity_definition():
@@ -145,3 +158,119 @@ def test_interval_ranks_agree_with_reflection_length():
     for i, e in enumerate(poset.elements):
         assert int(poset.ranks[i]) == e.reflection_length()
     assert poset.size == 32
+
+
+# ----------------------------------------------------------------------
+# the cover order against the pairwise definition
+
+
+def pairwise_order(poset) -> np.ndarray:
+    """x_i <= x_j by l_T additivity on every pair of ranks i < j."""
+    system = poset.top.system
+    n = poset.size
+    leq = np.eye(n, dtype=bool)
+    for i, x in enumerate(poset.elements):
+        for j, y in enumerate(poset.elements):
+            if poset.ranks[i] < poset.ranks[j]:
+                # x^-1 y = x y, as interval elements are involutions
+                between = Element(system, x.perm[y.perm]).reflection_length()
+                leq[i, j] = poset.ranks[i] + between == poset.ranks[j]
+    return leq
+
+
+def order_from_down(down: list[int]) -> np.ndarray:
+    n = len(down)
+    nbytes = (n + 7) // 8
+    cols = [
+        np.unpackbits(
+            np.frombuffer(d.to_bytes(nbytes, "little"), np.uint8),
+            bitorder="little",
+        )[:n]
+        for d in down
+    ]
+    return np.array(cols, dtype=bool).T
+
+
+def matrix_meet_failure(leq: np.ndarray):
+    """Reference scan on an order matrix: j, then i < j, and for each
+    incomparable pair the maximal common lower bounds, counted pairwise."""
+    n = len(leq)
+    for j in range(n):
+        for i in range(j):
+            if leq[i, j] or leq[j, i]:
+                continue
+            ids = np.nonzero(leq[:, i] & leq[:, j])[0]
+            maximal = ids[leq[np.ix_(ids, ids)].sum(axis=1) == 1]
+            if len(maximal) != 1:
+                return i, j, tuple(int(m) for m in maximal)
+    return None
+
+
+def assert_matches_pairwise(u):
+    poset = interval_of_involution(u)
+    leq = pairwise_order(poset)
+    assert np.array_equal(order_from_down(poset.down), leq)
+    ranks = poset.ranks
+    hasse = [
+        (i, j)
+        for i in range(poset.size)
+        for j in range(poset.size)
+        if ranks[j] == ranks[i] + 1 and leq[i, j]
+    ]
+    assert poset.hasse == hasse
+    expected = matrix_meet_failure(leq)
+    ok, failure = is_lattice_bruteforce(poset)
+    assert ok == (expected is None)
+    if failure is not None:
+        assert (failure.v_id, failure.w_id, failure.maximal_lower_bound_ids) == expected
+
+
+@pytest.mark.parametrize("name", SMALL_GROUP_TYPES + ("D5", "B5", "D6"))
+def test_cover_order_equals_pairwise_order_on_every_involution(name):
+    system = RootSystem.named(name)
+    full = Parabolic(system, (1 << system.n_pos) - 1)
+    for u, _ in involutions_with_words(full):
+        assert_matches_pairwise(u)
+
+
+def test_cover_order_equals_pairwise_order_on_h4_w0():
+    assert_matches_pairwise(longest_element(RootSystem.named("H4")))
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_dihedral_down_set_scan_equals_the_matrix_scan(m):
+    group = Dihedral(m)
+    for u in group.involutions():
+        members, _, leq = group.interval(u)
+        expected = matrix_meet_failure(leq)
+        ok, pair = group.lattice_bruteforce(u)
+        assert ok == (expected is None)
+        if expected is not None:
+            i, j, maximal = expected
+            assert pair == (members[i], members[j])
+        down = [sum(1 << int(i) for i in np.flatnonzero(col)) for col in leq.T]
+        failure = first_meet_failure(down)
+        assert failure == (None if expected is None else expected[:2])
+        if failure is not None:
+            assert maximal_lower_bounds(down, *failure) == expected[2]
+
+
+def test_d6_w0_interval_takes_no_product_lengths():
+    # a fresh system, so that its l_T cache holds only this interval's
+    # work: the candidate filter, whose products e u are again the 752
+    # involutions of D6 since w0 = -Id
+    system = RootSystem(named_coxeter_matrix("D6"), parse_label("D6"))
+    poset = interval_of_involution(longest_element(system))
+    assert poset.size == 752
+    assert len(system._ell_t_cache) <= 752
+
+
+def test_oversized_interval_is_refused(monkeypatch):
+    # H3 w0 is -Id: its 32 involutions are all candidates, and a table of
+    # 32 down-sets of 32 bits takes 32 * 32 / 8 = 128 bytes
+    u = longest_element(RootSystem.named("H3"))
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 127)
+    with pytest.raises(CapExceededError, match="passed 31 elements"):
+        interval_of_involution(u)
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 128)
+    assert interval_of_involution(u).size == 32

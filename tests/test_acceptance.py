@@ -8,7 +8,10 @@ the exact group and involution that broke.
 
 import time
 
+import pytest
+
 from coxabs.absorder import is_lattice_structural
+from coxabs.cli import main
 from coxabs.element import longest_element
 from coxabs.rootsystem import RootSystem
 from coxabs.verify import (
@@ -53,6 +56,29 @@ def test_lattice_fails_for_d6_f4_h4_with_reproduced_witnesses():
         elapsed = time.perf_counter() - start
         assert not ok and witness is not None
         assert elapsed < 10, f"structural test on {name} took {elapsed:.1f}s"
+
+
+@pytest.mark.parametrize("name", ["E7", "D8"])
+def test_e7_d8_w0_get_three_equal_verdicts_from_the_cli(capsys, name):
+    # 10 208 and 17 040 elements; about 2 s each cold on a 2-vCPU VM
+    start = time.perf_counter()
+    code = main(["lattice", name, "--w0"])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("NOT A LATTICE")
+    assert "brute=False structural=False classification=False agree=True" in out
+    assert elapsed < 10, f"lattice {name} --w0 took {elapsed:.1f}s"
+
+
+def test_classify_e7_columns_agree(capsys):
+    start = time.perf_counter()
+    assert main(["classify", "E7"]) == 0
+    elapsed = time.perf_counter() - start
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows and all(row[-3] == row[-2] == row[-1] for row in rows)
+    assert rows[-1][-3:] == ["False"] * 3  # E7 w0
+    assert elapsed < 10, f"classify E7 took {elapsed:.1f}s"
 
 
 def test_e7_e8_witness_pairs_found_at_root_level():

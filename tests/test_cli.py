@@ -63,6 +63,16 @@ def test_oversized_reflection_table_exits_2(capsys, monkeypatch, tmp_path):
     assert "over the cap of 100" in err
 
 
+@pytest.mark.parametrize("argv", [["lattice", "E8", "--w0"], ["classify", "E8"]])
+def test_e8_interval_is_refused_by_the_search_and_exits_2(capsys, argv):
+    # all 199 952 involutions of E8 lie below w0 = -Id; the search stops
+    # at 46 341, past what TABLE_CAP_BYTES admits for the down-sets
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "involution search passed 46340 elements" in err
+
+
 def test_length_with_rank2_letters(capsys):
     code, out, _ = run(capsys, "length", "B2", "--word", "s,t,s,t")
     assert code == 0
