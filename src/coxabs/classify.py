@@ -343,7 +343,7 @@ def involution_class_table(system: RootSystem) -> list[dict]:
 
     full = Parabolic(system, (1 << system.n_pos) - 1)
     pairs = involutions_with_words(full)
-    ids = {e.perm.tobytes(): i for i, (e, _) in enumerate(pairs)}
+    ids = {e.key(): i for i, (e, _) in enumerate(pairs)}
     simple_perms = [system.reflection_table[t] for t in system.simple_idx]
     assigned = [-1] * len(pairs)
     classes = []
@@ -358,7 +358,7 @@ def involution_class_table(system: RootSystem) -> list[dict]:
             i = frontier.pop()
             perm = pairs[i][0].perm
             for sp in simple_perms:
-                img = ids[sp[perm[sp]].tobytes()]
+                img = ids[Element(system, sp[perm[sp]]).key()]
                 if assigned[img] < 0:
                     assigned[img] = cls
                     members.append(img)

@@ -29,7 +29,7 @@ from .classify import (
     lattice_by_classification,
 )
 from .dihedral import dihedral_report
-from .element import Element, from_word, group_cap, longest_element
+from .element import Element, from_word, longest_element
 from .oracles import DYER_MAX_WORD, dyer_reflection_length
 from .parabolic import Parabolic
 from .rootsystem import (
@@ -336,11 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        group_cap()
-    except ValueError as exc:  # a bad COXABS_MAX_GROUP fails every command
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     try:
         return args.handler(args)
     except (UsageError, CoxeterError) as exc:

@@ -1,9 +1,12 @@
 """Group elements as permutations of root indices.
 
 An element w is stored as the integer array perm with perm[i] the index
-of w(root_i).  Composition is a numpy gather, inversion an argsort, and
-equality a byte comparison, so group arithmetic is cheap even for groups
-with tens of thousands of elements.
+of w(root_i).  Composition is a numpy gather and inversion an argsort,
+so group arithmetic is cheap even for groups with tens of thousands of
+elements.  The simple roots are a basis, so their images fix w: the key
+of an element, by which every dict of elements is indexed, is the bytes
+of perm[simple_idx], 4 * rank bytes, and w is the identity or an
+involution exactly when its key (or that of w * w) is simple_idx itself.
 
 Two exact length functions live here.  The word length l_S(w) counts the
 positive roots sent negative.  The reflection length l_T(w) is computed
@@ -13,22 +16,20 @@ moved_rows(), the vectors w(a_j) - a_j on plain ints (RootSystem.int_rows),
 whose echelon parabolic_closure also takes.  The FieldScalar matrix, fixed
 space and moved space are the reference the tests and verify compare
 against.
+
+enumerate_group lists the whole group in one preallocated int32 table of
+group_order rows; a group whose table would pass TABLE_CAP_BYTES is
+refused from its order, before anything is allocated.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from . import linalg
+from . import linalg, rootsystem
 from .field import ONE
 from .linalg import Subspace
-from .rootsystem import CapExceededError, RootSystem
-
-#: default and hard caps on group enumeration size
-DEFAULT_GROUP_CAP = 100_000
-HARD_GROUP_CAP = 5_000_000
+from .rootsystem import CapExceededError, RecognitionError, RootSystem
 
 
 class Element:
@@ -44,7 +45,8 @@ class Element:
     # -- identity and comparison -----------------------------------------
 
     def key(self) -> bytes:
-        return self.perm.tobytes()
+        """The images of the simple roots, which determine the element."""
+        return self.perm[self.system.simple_idx].tobytes()
 
     def __eq__(self, other) -> bool:
         return (
@@ -54,7 +56,7 @@ class Element:
         )
 
     def __hash__(self):
-        return hash(self.perm.tobytes())
+        return hash(self.key())
 
     def __repr__(self) -> str:
         word = self.reduced_word()
@@ -73,14 +75,15 @@ class Element:
 
     @property
     def is_identity(self) -> bool:
-        return bool((self.perm == np.arange(len(self.perm))).all())
+        simple = self.system.simple_idx
+        return self.perm[simple].tolist() == simple.tolist()
 
     @property
     def is_involution(self) -> bool:
-        """True when w * w is the identity (the identity itself counts)."""
-        return bool(
-            (self.perm[self.perm] == np.arange(len(self.perm))).all()
-        )
+        """True when w * w is the identity (the identity itself counts):
+        when w * w fixes every simple root."""
+        simple = self.system.simple_idx
+        return self.perm.take(self.perm[simple]).tolist() == simple.tolist()
 
     # -- root actions ------------------------------------------------------
 
@@ -144,11 +147,11 @@ class Element:
         """The int_rows of w(a_j) - a_j for every simple root a_j; over Q
         they span the moved space Im(M_w - Id), on {1, phi} if phi is used."""
         rows = self.system.int_rows
-        perm = self.perm
+        simple = self.system.simple_idx
         return [
-            [a - b for a, b in zip(image, simple)]
-            for s in self.system.simple_idx
-            for image, simple in zip(rows[perm[s]], rows[s])
+            [a - b for a, b in zip(image_row, simple_row)]
+            for i, s in zip(self.perm[simple].tolist(), simple.tolist())
+            for image_row, simple_row in zip(rows[i], rows[s])
         ]
 
     def reflection_length(self) -> int:
@@ -161,7 +164,7 @@ class Element:
             return self._ell_t
         sys = self.system
         cache = sys._ell_t_cache
-        key = self.perm.tobytes()
+        key = self.key()
         val = cache.get(key)
         if val is None:
             val = linalg.rank_rational(self.moved_rows()) // sys.int_degree
@@ -240,14 +243,17 @@ class GroupEnumeration:
 
     Elements are discovered breadth first over right multiplication by
     the simple generators, so ids are sorted by word length and the
-    identity has id 0.  words[i] is a reduced word for element i.
+    identity has id 0.  words[i] is a reduced word for element i, and
+    index maps Element.key() to the id.
     """
 
-    def __init__(self, system: RootSystem, perms: np.ndarray, words: list):
+    def __init__(
+        self, system: RootSystem, perms: np.ndarray, words: list, index: dict
+    ):
         self.system = system
         self.perms = perms
         self.words = words
-        self.index = {perms[i].tobytes(): i for i in range(len(perms))}
+        self.index = index
         self._ell_t: np.ndarray | None = None
         self._inverse_ids: np.ndarray | None = None
 
@@ -259,17 +265,26 @@ class GroupEnumeration:
         return Element(self.system, self.perms[i])
 
     def id_of(self, elt: Element) -> int:
-        return self.index[elt.perm.tobytes()]
+        return self.index[elt.key()]
+
+    def ids_of_images(self, images: np.ndarray) -> np.ndarray:
+        """Ids of the elements whose simple-root images are the rows of
+        images, as one array."""
+        raw = np.ascontiguousarray(images, dtype=np.int32).tobytes()
+        width = 4 * self.system.rank
+        index = self.index
+        return np.fromiter(
+            (index[raw[k : k + width]] for k in range(0, len(raw), width)),
+            dtype=np.int64,
+            count=len(images),
+        )
 
     @property
     def inverse_ids(self) -> np.ndarray:
         if self._inverse_ids is None:
-            inv_perms = np.argsort(self.perms, axis=1).astype(np.int32)
-            self._inverse_ids = np.fromiter(
-                (self.index[inv_perms[i].tobytes()] for i in range(self.size)),
-                dtype=np.int64,
-                count=self.size,
-            )
+            inv_perms = np.argsort(self.perms, axis=1)
+            simple = self.system.simple_idx
+            self._inverse_ids = self.ids_of_images(inv_perms[:, simple])
         return self._inverse_ids
 
     @property
@@ -284,63 +299,57 @@ class GroupEnumeration:
 
     def involution_ids(self) -> np.ndarray:
         """Ids of all elements with w * w = identity, identity included."""
-        squares = np.take_along_axis(self.perms, self.perms, axis=1)
-        mask = (squares == np.arange(self.perms.shape[1])).all(axis=1)
-        return np.nonzero(mask)[0]
+        simple = self.system.simple_idx
+        squares = np.take_along_axis(self.perms, self.perms[:, simple], axis=1)
+        return np.nonzero((squares == simple).all(axis=1))[0]
 
 
-def group_cap() -> int:
-    """The enumeration cap: COXABS_MAX_GROUP when set, else the default.
+def enumerate_group(system: RootSystem) -> GroupEnumeration:
+    """Enumerate the whole group into one table of system.group_order rows.
 
-    Raises ValueError, naming the variable, unless it is a positive integer.
-    """
-    raw = os.environ.get("COXABS_MAX_GROUP")
-    if raw is None:
-        return DEFAULT_GROUP_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"COXABS_MAX_GROUP must be a positive integer, got {raw!r}")
-    return cap
-
-
-def enumerate_group(system: RootSystem, limit: int | None = None) -> GroupEnumeration:
-    """Enumerate the whole group, subject to a size cap.
-
-    The default cap is 100000 elements; the environment variable
-    COXABS_MAX_GROUP or the limit argument raises it, up to a hard cap of
-    5000000.  Exceeding the cap raises CapExceededError.
+    Raises CapExceededError, before allocating, when the table would pass
+    TABLE_CAP_BYTES, and RecognitionError unless the walk finds exactly
+    group_order elements.
     """
     if system._group is not None:
         return system._group
-    if limit is None:
-        limit = group_cap()
-    limit = min(limit, HARD_GROUP_CAP)
-    simple_perms = [system.reflection_table[t] for t in system.simple_idx]
-    ident = np.arange(system.n_roots, dtype=np.int32)
-    perms = [ident]
+    order, n_roots = system.group_order, system.n_roots
+    size = order * n_roots * 4
+    cap = rootsystem.TABLE_CAP_BYTES
+    if size > cap:
+        raise CapExceededError(
+            f"the group of {system.describe()} has {order} elements, whose "
+            f"table of {size} bytes would pass the cap of {cap} bytes"
+        )
+    simple = system.simple_idx
+    simple_perms = [system.reflection_table[t] for t in simple]
+    simple_images = [sp[simple] for sp in simple_perms]
+    perms = np.empty((order, n_roots), dtype=np.int32)
+    perms[0] = np.arange(n_roots)
     words: list[tuple[int, ...]] = [()]
-    index = {ident.tobytes(): 0}
+    index = {perms[0][simple].tobytes(): 0}
     head = 0
-    while head < len(perms):
+    while head < len(words):  # perms[:len(words)] is filled
         cur = perms[head]
         cur_word = words[head]
-        for s, sp in enumerate(simple_perms):
-            new = cur[sp]
-            key = new.tobytes()
+        for s, (sp, images) in enumerate(zip(simple_perms, simple_images)):
+            key = cur[images].tobytes()  # cur * s at the simple roots
             if key not in index:
-                index[key] = len(perms)
-                perms.append(new)
-                words.append(cur_word + (s,))
-                if len(perms) > limit:
-                    raise CapExceededError(
-                        f"group enumeration exceeded the cap of {limit} "
-                        "elements; raise COXABS_MAX_GROUP to allow more "
-                        f"(hard cap {HARD_GROUP_CAP})"
+                count = len(words)
+                if count == order:
+                    raise RecognitionError(
+                        f"the group of {system.describe()} has more than "
+                        f"{order} elements"
                     )
+                index[key] = count
+                perms[count] = cur[sp]
+                words.append(cur_word + (s,))
         head += 1
-    enum = GroupEnumeration(system, np.vstack(perms), words)
+    if len(words) != order:
+        raise RecognitionError(
+            f"the group of {system.describe()} has {len(words)} elements, "
+            f"not {order}"
+        )
+    enum = GroupEnumeration(system, perms, words, index)
     system._group = enum
     return enum

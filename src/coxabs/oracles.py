@@ -64,7 +64,7 @@ def cayley_interval_elements(u: Element) -> list[Element]:
     u_perm = u.perm
     found: dict[bytes, Element] = {}
     ident = Element(sys, np.arange(sys.n_roots, dtype=np.int32))
-    found[ident.perm.tobytes()] = ident
+    found[ident.key()] = ident
     frontier = [ident]
     while frontier:
         nxt = []
@@ -72,7 +72,7 @@ def cayley_interval_elements(u: Element) -> list[Element]:
             lx = x.reflection_length()
             for t in range(sys.n_pos):
                 y = Element(sys, x.perm[sys.reflection_table[t]])
-                key = y.perm.tobytes()
+                key = y.key()
                 if key in found:
                     continue
                 ly = y.reflection_length()

@@ -187,7 +187,7 @@ class Parabolic:
 
     @property
     def group_order(self) -> int:
-        return math.prod(_order_of_label(l) for l in self.type_labels)
+        return math.prod(rootsystem.group_order(l) for l in self.type_labels)
 
     # -- longest element and the -Id test -----------------------------------
 
@@ -315,7 +315,10 @@ def involutions_with_words(p: Parabolic) -> list[tuple[Element, tuple[int, ...]]
     reflections; the search enumerates orthogonal subsets of the
     subsystem's positive roots in lexicographic order and keeps the first
     word found for each element.  The identity appears with the empty
-    word.  Results are sorted by reflection length, then by permutation.
+    word.  Pairwise orthogonal roots are linearly independent, so every
+    such word is T-reduced and its length is the reflection length
+    (Carter, Compositio Math. 25, 1972).  Results are sorted by that
+    length, then by permutation.
 
     The involutions of P(u) are the candidates of the interval [1, u],
     whose down-set table takes up to count^2 / 8 bytes; the search raises
@@ -327,12 +330,13 @@ def involutions_with_words(p: Parabolic) -> list[tuple[Element, tuple[int, ...]]
     orth = sys.orthogonality
     cap = rootsystem.TABLE_CAP_BYTES
     most = math.isqrt(8 * cap)
-    found: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
+    found: dict[bytes, tuple[Element, tuple[int, ...]]] = {}
 
     def visit(perm: np.ndarray, clique: tuple[int, ...], allowed: tuple[int, ...]):
-        key = perm.tobytes()
+        elt = Element(sys, perm)
+        key = elt.key()
         if key not in found:
-            found[key] = (perm, clique)
+            found[key] = (elt, clique)
             if len(found) > most:
                 raise CapExceededError(
                     f"the involution search passed {most} elements, whose "
@@ -343,8 +347,9 @@ def involutions_with_words(p: Parabolic) -> list[tuple[Element, tuple[int, ...]]
             visit(perm[sys.reflection_table[t]], clique + (t,), nxt)
 
     visit(np.arange(sys.n_roots, dtype=np.int32), (), idx)
-    items = sorted(found.values(), key=lambda fw: (len(fw[1]), fw[0].tobytes()))
-    return [(Element(sys, perm), word) for perm, word in items]
+    return sorted(
+        found.values(), key=lambda ew: (len(ew[1]), ew[0].perm.tobytes())
+    )
 
 
 def enumerate_involutions(p: Parabolic) -> list[Element]:
@@ -381,26 +386,3 @@ def all_subparabolics(p: Parabolic) -> list[Parabolic]:
     ordered = sorted(seen)
     info["all_sub"] = ordered
     return [Parabolic(sys, m) for m in ordered]
-
-
-# ----------------------------------------------------------------------
-# group orders
-
-
-def _order_of_label(label: TypeLabel) -> int:
-    fam, n = label.family, label.rank
-    if fam == "A":
-        return math.factorial(n + 1)
-    if fam == "B":
-        return (1 << n) * math.factorial(n)
-    if fam == "D":
-        return (1 << (n - 1)) * math.factorial(n)
-    if fam == "E":
-        return {6: 51840, 7: 2903040, 8: 696729600}[n]
-    if fam == "F":
-        return 1152
-    if fam == "H":
-        return {3: 120, 4: 14400}[n]
-    if fam == "I":
-        return 2 * label.bond
-    raise ValueError(f"unknown family {fam}")  # pragma: no cover

@@ -32,6 +32,7 @@ Across a 4- or 6-bond the later generator gets the longer root.
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
@@ -310,6 +311,20 @@ def root_count(label: TypeLabel) -> int:
     return n * coxeter_number
 
 
+def group_order(label: TypeLabel) -> int:
+    """Order of the Coxeter group of a named irreducible type."""
+    n = label.rank
+    return {
+        "A": math.factorial(n + 1),
+        "B": 2**n * math.factorial(n),
+        "D": 2 ** (n - 1) * math.factorial(n),
+        "E": {6: 51840, 7: 2903040, 8: 696729600}.get(n),
+        "F": 1152,
+        "H": {3: 120, 4: 14400}.get(n),
+        "I": 2 * label.bond,
+    }[label.family]
+
+
 # ----------------------------------------------------------------------
 # root systems
 
@@ -392,7 +407,8 @@ class RootSystem:
     come first (indices 0 .. n_pos-1), sorted by height and then
     lexicographically; index i + n_pos is the negative of index i.
 
-    Production reads simple_idx, reflection_table (row t permutes all
+    Production reads group_order (the product over the recognized
+    components), simple_idx, reflection_table (row t permutes all
     root indices as the reflection along positive root t does), the
     orthogonality and bond_between read off that table, and int_rows, the
     input of the exact integer rank: root i as int_degree rows.  With
@@ -418,9 +434,12 @@ class RootSystem:
                 "bond labels above 6 leave the field Q(phi); "
                 "use the symbolic dihedral model for I2(m), m > 6"
             )
-        # the diagram's types fix the root count before a root is built
-        n_roots = sum(root_count(t) for t, _ in recognize(range(n), bonds))
+        # the diagram's types fix the root count and the group order
+        # before a root is built
+        types = [t for t, _ in recognize(range(n), bonds)]
+        n_roots = sum(root_count(t) for t in types)
         _check_table_bytes(n_roots)
+        self.group_order = math.prod(group_order(t) for t in types)
         self.matrix = matrix
         self.label = label
         self.rank = n
@@ -447,8 +466,9 @@ class RootSystem:
         flat = positives + [tuple(-x for x in r) for r in positives]
         index = np.empty(self.n_pos, dtype=np.int32)
         index[order] = np.arange(self.n_pos, dtype=np.int32)
-        # the simple roots are the first n found
-        self.simple_idx = tuple(int(index[s]) for s in range(n))
+        # the simple roots are the first n found; an index array, so that
+        # perm[simple_idx] reads off their images
+        self.simple_idx = index[:n].astype(np.intp)
         self.reflection_table = self._build_reflection_table(images[order], index)
         self.int_rows = tuple(
             (r, tuple(x for a, b in zip(r[::2], r[1::2]) for x in (b, a + b)))
@@ -459,7 +479,7 @@ class RootSystem:
         # per-system caches filled lazily by other modules
         self._orth: np.ndarray | None = None
         self._subsystem_cache: dict = {}
-        self._ell_t_cache: dict[bytes, int] = {}
+        self._ell_t_cache: dict[bytes, int] = {}  # by Element.key()
         self._group = None
         self._w0 = None
 
@@ -530,7 +550,7 @@ class RootSystem:
         table = np.full((n_pos, n_roots), -1, dtype=np.int32)
         simple_perms = {}
         for s in range(self.rank):
-            t = self.simple_idx[s]
+            t = int(self.simple_idx[s])
             col = images[:, s]  # -1 only where s sends a_s to -a_s
             image = np.where(col < 0, t + n_pos, index[col])
             table[t] = np.concatenate([image, (image + n_pos) % n_roots])

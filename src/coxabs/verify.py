@@ -344,24 +344,20 @@ def check_dyer_agreement() -> CheckResult:
 
 def _member_ids(parabolic: Parabolic, enum) -> frozenset:
     """Ids of the subgroup generated by a closed root subsystem."""
-    info = parabolic._info()
-    if "member_ids" not in info:
-        system = parabolic.system
-        gens = [
-            system.reflection_table[t] for t in parabolic.simple_system
-        ]
-        identity_perm = np.arange(system.n_roots, dtype=np.int32)
-        seen = {enum.index[identity_perm.tobytes()]}
-        frontier = [identity_perm]
-        while frontier:
-            perm = frontier.pop()
-            for g in gens:
-                i = enum.index[perm[g].tobytes()]
-                if i not in seen:
-                    seen.add(i)
-                    frontier.append(enum.perms[i])
-        info["member_ids"] = frozenset(seen)
-    return info["member_ids"]
+    system = parabolic.system
+    # row k: simple generator k of the subsystem at the simple roots
+    gens = system.reflection_table[
+        np.ix_(parabolic.simple_system, system.simple_idx)
+    ]
+    seen = {0}  # the identity
+    frontier = [0]
+    while frontier:
+        i = frontier.pop()
+        for j in enum.ids_of_images(enum.perms[i][gens]).tolist():
+            if j not in seen:
+                seen.add(j)
+                frontier.append(j)
+    return frozenset(seen)
 
 
 def _order_law_failures(system: RootSystem) -> tuple[list[str], int]:
@@ -390,7 +386,7 @@ def _order_law_failures(system: RootSystem) -> tuple[list[str], int]:
     n = enum.size
     n_pos = system.n_pos
     perms = enum.perms
-    index = enum.index
+    simple = system.simple_idx
     ell = enum.reflection_lengths.astype(np.int64)
     inv_all = perms[enum.inverse_ids]
     invol = np.zeros(n, dtype=bool)
@@ -404,13 +400,12 @@ def _order_law_failures(system: RootSystem) -> tuple[list[str], int]:
                 f"at id {i}"
             )
 
-    refl_ids = [
-        index[system.reflection_table[t].tobytes()] for t in range(n_pos)
-    ]
+    refl_ids = enum.ids_of_images(system.reflection_table[:, simple])
+    images = perms[:, simple]
     for t in range(n_pos):
-        products = system.reflection_table[t][perms]
+        product_ids = enum.ids_of_images(system.reflection_table[t][images])
         for w in range(n):
-            below = 1 + ell[index[products[w].tobytes()]] == ell[w]
+            below = 1 + ell[product_ids[w]] == ell[w]
             member = (closures[w].mask >> t) & 1 == 1
             if below != member:
                 failures.append(
@@ -427,11 +422,11 @@ def _order_law_failures(system: RootSystem) -> tuple[list[str], int]:
             )
 
     w0 = longest_element(system)
-    w0_id = index[w0.perm.tobytes()]
+    w0_id = enum.id_of(w0)
     for t in range(n_pos):
         t_w0 = system.reflection_table[t][w0.perm]
         w0_t = w0.perm[system.reflection_table[t]]
-        below = 1 + ell[index[t_w0.tobytes()]] == ell[w0_id]
+        below = 1 + ell[enum.id_of(Element(system, t_w0))] == ell[w0_id]
         if below != bool((t_w0 == w0_t).all()):
             failures.append(f"reflection {t} vs w0: order/commutation")
 
@@ -452,12 +447,7 @@ def _order_law_failures(system: RootSystem) -> tuple[list[str], int]:
     for ui in invol_ids:
         u = enum.element(int(ui))
         u_perm = perms[ui]
-        products = inv_all[:, u_perm]
-        pids = np.fromiter(
-            (index[products[r].tobytes()] for r in range(n)),
-            dtype=np.int64,
-            count=n,
-        )
+        pids = enum.ids_of_images(inv_all[:, u_perm[simple]])
         below = ell + ell[pids] == ell[ui]
 
         for t in range(n_pos):

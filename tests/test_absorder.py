@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from coxabs import rootsystem
+from coxabs import linalg, rootsystem
 from coxabs.absorder import (
     closure_map_report,
     first_meet_failure,
@@ -70,14 +70,35 @@ def test_b2_interval_shape():
 
 
 def test_interval_membership_is_exactly_additivity():
-    system = RootSystem.named("A3")
-    w0 = longest_element(system)
-    poset = interval_of_involution(w0)
-    enum = enumerate_group(system)
-    member_keys = {e.perm.tobytes() for e in poset.elements}
-    for i in range(enum.size):
-        w = enum.element(i)
-        assert (w.perm.tobytes() in member_keys) == leq_T(w, w0)
+    for name in ("A3", "B3", "H3", "D4", "F4"):
+        system = RootSystem.named(name)
+        w0 = longest_element(system)
+        poset = interval_of_involution(w0)
+        enum = enumerate_group(system)
+        member_keys = {e.key() for e in poset.elements}
+        for i in range(enum.size):
+            w = enum.element(i)
+            assert (w.key() in member_keys) == leq_T(w, w0), name
+        # the ranks taken off the reflection words are the reflection lengths
+        assert [int(r) for r in poset.ranks] == [
+            e.reflection_length() for e in poset.elements
+        ], name
+
+
+def test_interval_build_takes_no_reflection_length(monkeypatch):
+    # a fresh system, so that no l_T is cached
+    system = RootSystem(named_coxeter_matrix("D6"))
+    calls = []
+    inner = linalg.rank_rational
+
+    def counting(matrix):
+        calls.append(1)
+        return inner(matrix)
+
+    monkeypatch.setattr(linalg, "rank_rational", counting)
+    poset = interval_of_involution(longest_element(system))
+    assert poset.size == 752
+    assert calls == []
 
 
 def test_interval_of_identity_and_reflection():

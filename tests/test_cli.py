@@ -174,15 +174,6 @@ def test_symbolic_lattice_disagreement_exits_1(capsys, monkeypatch):
     assert "structural=False" in out and "agree=False" in out
 
 
-@pytest.mark.parametrize("value", ["many", "0", "-5", "1.5", ""])
-def test_bad_group_cap_is_a_usage_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("COXABS_MAX_GROUP", value)
-    code, out, err = run(capsys, "build", "A2")
-    assert code == 2
-    assert out == ""
-    assert "COXABS_MAX_GROUP must be a positive integer" in err
-
-
 def test_classify_table(capsys):
     code, out, _ = run(capsys, "classify", "B3")
     assert code == 0

@@ -1,11 +1,13 @@
 """Group elements as root permutations: words, lengths, enumeration."""
 
 import itertools
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coxabs import linalg
+from coxabs import linalg, rootsystem
 from coxabs.element import (
     CapExceededError,
     check_T_reduced,
@@ -17,7 +19,7 @@ from coxabs.element import (
     simple_reflection,
 )
 from coxabs.field import ONE, PHI, ZERO
-from coxabs.rootsystem import RootSystem, named_coxeter_matrix
+from coxabs.rootsystem import CoxeterMatrix, RootSystem, named_coxeter_matrix
 
 GROUP_ORDERS = [
     ("A2", 6),
@@ -33,8 +35,55 @@ GROUP_ORDERS = [
 
 @pytest.mark.parametrize("name,order", GROUP_ORDERS)
 def test_group_orders(name, order):
-    enum = enumerate_group(RootSystem.named(name))
+    system = RootSystem.named(name)
+    assert rootsystem.group_order(system.label) == order
+    assert system.group_order == order
+    enum = enumerate_group(system)
     assert enum.size == order
+
+
+def test_reducible_group_order_is_the_product():
+    text = (Path(__file__).parent / "data" / "matrices" / "b2xa1.txt").read_text()
+    system = RootSystem(CoxeterMatrix.from_text(text))
+    assert system.group_order == 8 * 2
+    assert enumerate_group(system).size == 16
+
+
+def reference_enumeration(system):
+    """Breadth-first enumeration into a list and a dict keyed by the whole
+    permutation: the group table's reference."""
+    simple_perms = [system.reflection_table[t] for t in system.simple_idx]
+    ident = np.arange(system.n_roots, dtype=np.int32)
+    perms = [ident]
+    words = [()]
+    index = {ident.tobytes(): 0}
+    head = 0
+    while head < len(perms):
+        for s, sp in enumerate(simple_perms):
+            new = perms[head][sp]
+            if new.tobytes() not in index:
+                index[new.tobytes()] = len(perms)
+                perms.append(new)
+                words.append(words[head] + (s,))
+        head += 1
+    return np.vstack(perms), words, index
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, _ in GROUP_ORDERS] + ["B5", "D6", "F4", "H4", "E6"]
+)
+def test_group_table_matches_the_reference(name):
+    system = RootSystem.named(name)
+    enum = enumerate_group(system)
+    perms, words, index = reference_enumeration(system)
+    assert enum.perms.dtype == np.int32
+    assert np.array_equal(enum.perms, perms)
+    assert enum.words == words
+    assert len(enum.index) == len(index) == enum.size
+    assert all(
+        enum.id_of(enum.element(i)) == index[perms[i].tobytes()] == i
+        for i in range(enum.size)
+    )
 
 
 def test_identity_and_generator_relations():
@@ -205,14 +254,29 @@ def test_enumeration_reflection_lengths_and_involutions():
     assert len(involutions) == 20
 
 
-def test_group_cap_is_enforced(monkeypatch):
+def test_oversized_group_table_is_refused(monkeypatch):
+    # A3: 24 elements, 12 roots, a table of 24 * 12 int32 = 1152 bytes
     system = RootSystem.named("A3")
     monkeypatch.setattr(system, "_group", None)
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 1151)
     with pytest.raises(CapExceededError) as err:
-        enumerate_group(system, limit=10)
-    assert "COXABS_MAX_GROUP" in str(err.value)
-    monkeypatch.setattr(system, "_group", None)
-    assert enumerate_group(system).size == 24
+        enumerate_group(system)
+    assert "1151" in str(err.value)
+    assert system._group is None
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 1152)
+    assert enumerate_group(system).perms.nbytes == 1152
+
+
+def test_e7_group_is_refused_before_it_allocates():
+    system = RootSystem.named("E7")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="2903040 elements"):
+            enumerate_group(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_multiplication_convention():
