@@ -13,13 +13,13 @@ positive roots sent negative.  The reflection length l_T(w) is computed
 from the geometric action: it equals rank(M_w - Id), the codimension of
 the fixed space, and is memoized per system.  It is the Bareiss rank of
 moved_rows(), the vectors w(a_j) - a_j on plain ints (RootSystem.int_rows),
-whose echelon parabolic_closure also takes.  The FieldScalar matrix, fixed
-space and moved space are the reference the tests and verify compare
-against.
+whose echelon and its annihilator give parabolic_closure.  The
+FieldScalar matrix, fixed space and moved space are the reference the
+tests and verify compare against.
 
 enumerate_group lists the whole group in one preallocated int32 table of
-group_order rows; a group whose table would pass TABLE_CAP_BYTES is
-refused from its order, before anything is allocated.
+group_order rows; a group whose table, words and keys would pass
+TABLE_CAP_BYTES is refused from its order, before anything is allocated.
 """
 
 from __future__ import annotations
@@ -307,19 +307,21 @@ class GroupEnumeration:
 def enumerate_group(system: RootSystem) -> GroupEnumeration:
     """Enumerate the whole group into one table of system.group_order rows.
 
-    Raises CapExceededError, before allocating, when the table would pass
-    TABLE_CAP_BYTES, and RecognitionError unless the walk finds exactly
-    group_order elements.
+    Raises CapExceededError, before allocating, when the table and words
+    would pass TABLE_CAP_BYTES, and RecognitionError unless the walk finds
+    exactly group_order elements.
     """
     if system._group is not None:
         return system._group
     order, n_roots = system.group_order, system.n_roots
-    size = order * n_roots * 4
+    # per element: the int32 row, a word of n_pos / 2 letters on average
+    # (8 bytes each), a key of 4 * rank bytes and ~176 bytes of overhead
+    size = order * (4 * n_roots + 4 * system.n_pos + 4 * system.rank + 176)
     cap = rootsystem.TABLE_CAP_BYTES
     if size > cap:
         raise CapExceededError(
             f"the group of {system.describe()} has {order} elements, whose "
-            f"table of {size} bytes would pass the cap of {cap} bytes"
+            f"table and words of {size} bytes would pass the cap of {cap} bytes"
         )
     simple = system.simple_idx
     simple_perms = [system.reflection_table[t] for t in simple]

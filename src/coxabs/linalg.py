@@ -1,17 +1,19 @@
 """Exact linear algebra: an integer Bareiss echelon and a Q(phi) reference.
 
 Production ranks and spans run on plain ints: echelon() is Bareiss
-elimination over Q, rank_rational() counts its rows and in_span() reduces
-a vector against them; roots enter as RootSystem.int_rows.  The
-FieldScalar rank, rref, kernel and Subspace work over Q(phi), fraction
-free with one normalization pass at the end, and are the reference the
-tests and verify compare against.  A Subspace is kept in reduced row
-echelon form, so equality is a tuple comparison.
+elimination over Q, rank_rational() counts its rows and annihilator()
+gives an integer basis of their null space; roots enter as
+RootSystem.int_rows.  The FieldScalar rank, rref, kernel and Subspace
+work over Q(phi), fraction free with one normalization pass at the end,
+and are the reference the tests and verify compare against.  A Subspace
+is kept in reduced row echelon form, so equality is a tuple comparison.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 
 from .field import FieldScalar, ZERO, ONE
 
@@ -194,16 +196,29 @@ def rank_rational(matrix) -> int:
     return len(echelon(matrix))
 
 
-def in_span(basis, vec) -> bool:
-    """Whether vec lies in the row span of basis, an echelon() result:
-    fraction-free reduction leaves nothing exactly then."""
-    for row in basis:
-        col = next(c for c, x in enumerate(row) if x)
-        f = vec[col]
-        if f:
-            p = row[col]
-            vec = [p * a - f * b for a, b in zip(vec, row)]
-    return not any(vec)
+def annihilator(basis, ncols: int) -> list[list[int]]:
+    """Integer basis of the null space of basis, an echelon() result: one
+    vector per free column, by back substitution that scales the vector by
+    p / gcd(s, p) so that a pivot entry s / p is an integer, then divides
+    out the vector's gcd."""
+    pivots = [next(c for c, x in enumerate(row) if x) for row in basis]
+    out = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[f] = 1
+        # pivots right of f get zeros, and vec is zero right of f
+        for k in range(bisect.bisect(pivots, f) - 1, -1, -1):
+            row, c = basis[k], pivots[k]
+            s = -sum(map(operator.mul, row[c + 1 : f + 1], vec[c + 1 : f + 1]))
+            if s:
+                p = row[c]
+                g = math.gcd(s, p)
+                if p != g:
+                    vec = [x * (p // g) for x in vec]
+                vec[c] = s // g
+        g = math.gcd(*vec)
+        out.append([x // g for x in vec] if g != 1 else vec)
+    return out
 
 
 class Subspace:

@@ -8,12 +8,12 @@ stores the set as one Python int bitmask over positive root indices,
 which makes intersection of parabolics a bitwise AND (the intersection of
 closed sets is closed and spans are compatible, see intersect below).
 
-Closures find their roots by linalg.echelon and in_span on the integer
-root rows.  Components and their types come from rootsystem.recognize,
-the recognizer the build uses, fed the bonds read off the reflection
-table between non-orthogonal simple roots; the FieldScalar Subspace
-behind span, is_closed and contains_element is the reference the tests
-and verify compare against.
+Closures find their roots by linalg.echelon and annihilator on the
+integer root rows.  Components and their types come from
+rootsystem.recognize, the recognizer the build uses, fed the bonds read
+off the reflection table between non-orthogonal simple roots; the
+FieldScalar Subspace behind span, is_closed and contains_element is the
+reference the tests and verify compare against.
 
 Heavyweight derived data (simple systems, component types, longest
 elements) is cached per system and mask so sweeps over many involutions
@@ -260,16 +260,26 @@ class Parabolic:
 # constructors
 
 
+#: bound on |root coordinate| x l1(annihilator vector) for the int64 product
+INT64_DOT_BOUND = 2**63
+
+
 def _roots_in_row_span(system: RootSystem, rows) -> int:
     """Mask of the positive roots in the span over Q of int_rows rows.
 
     That span is a Q(phi)-span written on {1, phi}, so it is closed under
-    multiplication by phi: a root lies in it exactly when its row 0 does.
+    multiplication by phi: a root lies in it exactly when its row 0 does,
+    that is when row 0 is orthogonal to every vector of the annihilator.
     """
     basis = linalg.echelon(rows)
-    return mask_from_indices(
-        i for i in range(system.n_pos) if linalg.in_span(basis, system.int_rows[i][0])
-    )
+    pos = system.positive_rows
+    if len(basis) == pos.shape[1]:
+        return (1 << system.n_pos) - 1
+    ann = linalg.annihilator(basis, pos.shape[1])
+    widest = max(sum(map(abs, k)) for k in ann)
+    dtype = np.int64 if widest * int(np.abs(pos).max()) < INT64_DOT_BOUND else object
+    inside = ~(pos.astype(dtype, copy=False) @ np.array(ann, dtype=dtype).T).any(axis=1)
+    return int.from_bytes(np.packbits(inside, bitorder="little").tobytes(), "little")
 
 
 def closure_of_roots(system: RootSystem, indices) -> Parabolic:

@@ -476,6 +476,10 @@ class RootSystem:
             else (r[::2],)
             for r in flat
         )
+        # row 0 of every positive root, which closures test against a span
+        self.positive_rows = np.array(
+            [rows[0] for rows in self.int_rows[: self.n_pos]], dtype=np.int64
+        )
         # per-system caches filled lazily by other modules
         self._orth: np.ndarray | None = None
         self._subsystem_cache: dict = {}

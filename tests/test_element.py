@@ -255,16 +255,33 @@ def test_enumeration_reflection_lengths_and_involutions():
 
 
 def test_oversized_group_table_is_refused(monkeypatch):
-    # A3: 24 elements, 12 roots, a table of 24 * 12 int32 = 1152 bytes
+    # A3: 24 elements, 12 roots, 6 positive, rank 3: per element a row of
+    # 48 bytes, 24 + 12 bytes of word and key, and 176 of overhead
     system = RootSystem.named("A3")
     monkeypatch.setattr(system, "_group", None)
-    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 1151)
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 6239)
     with pytest.raises(CapExceededError) as err:
         enumerate_group(system)
-    assert "1151" in str(err.value)
+    assert "6239" in str(err.value)
     assert system._group is None
-    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 1152)
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 6240)
     assert enumerate_group(system).perms.nbytes == 1152
+
+
+@pytest.mark.parametrize("name, admitted", [("D7", True), ("A8", True), ("B7", False)])
+def test_group_cap_counts_words_and_index(name, admitted, monkeypatch):
+    # the cap is decided from the order alone: stop at the table allocation
+    class Allocated(Exception):
+        pass
+
+    def allocate(*args, **kwargs):
+        raise Allocated
+
+    system = RootSystem.named(name)
+    monkeypatch.setattr(system, "_group", None)
+    monkeypatch.setattr(np, "empty", allocate)
+    with pytest.raises(Allocated if admitted else CapExceededError):
+        enumerate_group(system)
 
 
 def test_e7_group_is_refused_before_it_allocates():

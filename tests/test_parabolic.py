@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from coxabs import linalg
+from coxabs import linalg, parabolic
 from coxabs.absorder import is_lattice_structural
 from coxabs.classify import lattice_by_classification
 from coxabs.element import (
@@ -29,6 +29,14 @@ from coxabs.parabolic import (
     standard_parabolic,
 )
 from coxabs.rootsystem import RootSystem, named_coxeter_matrix, parse_label
+
+
+def counted(calls, label, fn):
+    def wrapper(*args, **kwargs):
+        calls[label] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
 
 
 def full_parabolic(system):
@@ -72,18 +80,34 @@ def test_parabolic_closure_of_w0():
 
 # whole groups, and seeded samples of the larger ones
 SAMPLED = {"H4": 240, "E6": 240}
+# groups too large to enumerate, as seeded random words; E8 has the
+# largest root coordinate (6), A20 the highest rank
+WORDS = {"E7": 40, "E8": 40, "A20": 40}
 
 
-@pytest.mark.parametrize("name", ["H3", "I2(5)", "G2", "B4", "F4", "H4", "E6"])
+def random_elements(system, rng, count):
+    return [
+        from_word(system, [rng.randrange(system.rank) for _ in range(system.n_pos)])
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "name", ["H3", "I2(5)", "G2", "B4", "F4", "H4", "E6", "E7", "E8", "A20"]
+)
 def test_parabolic_closure_via_subspace_matches_perm_route(name):
     # the moved space of w cuts out the same root subset the closure holds
     system = RootSystem.named(name)
-    enum = enumerate_group(system)
-    ids = range(enum.size)
-    if name in SAMPLED:
-        ids = random.Random(name).sample(ids, SAMPLED[name])
-    for i in ids:
-        w = enum.element(i)
+    rng = random.Random(name)
+    if name in WORDS:
+        elements = random_elements(system, rng, WORDS[name])
+    else:
+        enum = enumerate_group(system)
+        ids = range(enum.size)
+        if name in SAMPLED:
+            ids = rng.sample(ids, SAMPLED[name])
+        elements = [enum.element(i) for i in ids]
+    for w in elements:
         p = parabolic_closure(w)
         moved = w.moved_space()
         expected = [
@@ -92,6 +116,43 @@ def test_parabolic_closure_via_subspace_matches_perm_route(name):
         ]
         assert list(p.root_indices) == expected
         assert p.rank == w.reflection_length()
+
+
+@pytest.mark.parametrize("name", ["H4", "E6", "A20"])
+def test_closure_masks_agree_on_both_dtype_paths(name, monkeypatch):
+    system = RootSystem.named(name)
+    rng = random.Random(name)
+    elements = random_elements(system, rng, 60)
+    subsets = [
+        [rng.randrange(system.n_roots) for _ in range(rng.randint(0, system.rank))]
+        for _ in range(60)
+    ]
+
+    def masks():
+        return [parabolic_closure(w).mask for w in elements] + [
+            closure_of_roots(system, s).mask for s in subsets
+        ]
+
+    int64_masks = masks()
+    # a bound of 0 sends every product to Python ints
+    monkeypatch.setattr(parabolic, "INT64_DOT_BOUND", 0)
+    assert masks() == int64_masks
+    full = (1 << system.n_pos) - 1
+    assert sum(m not in (0, full) for m in int64_masks) > 60
+
+
+def test_closure_makes_one_echelon_and_one_annihilator(monkeypatch):
+    system = RootSystem.named("H4")
+    w = from_word(system, [0, 1, 0, 2])
+    assert not w.is_involution
+    assert w.reflection_length() < system.rank  # no full-rank shortcut
+    calls = Counter()
+    monkeypatch.setattr(linalg, "echelon", counted(calls, "echelon", linalg.echelon))
+    monkeypatch.setattr(
+        linalg, "annihilator", counted(calls, "annihilator", linalg.annihilator)
+    )
+    assert parabolic_closure(w).size > 0
+    assert calls == Counter(echelon=1, annihilator=1)
 
 
 @pytest.mark.parametrize("name", ["B3", "D4", "F4", "G2", "H3", "H4", "I2(5)", "E6"])
@@ -111,20 +172,14 @@ def test_closure_of_roots_matches_subspace_reference(name):
 @pytest.mark.parametrize("name", ["F4", "H4"])
 def test_closures_run_no_field_linear_algebra(name, monkeypatch):
     calls = Counter()
-
-    def counted(label, fn):
-        def wrapper(*args, **kwargs):
-            calls[label] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(linalg, "kernel", counted("kernel", linalg.kernel))
-    monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
+    monkeypatch.setattr(linalg, "kernel", counted(calls, "kernel", linalg.kernel))
+    monkeypatch.setattr(linalg, "rref", counted(calls, "rref", linalg.rref))
     monkeypatch.setattr(
-        Subspace, "from_vectors", staticmethod(counted("from_vectors", Subspace.from_vectors))
+        Subspace,
+        "from_vectors",
+        staticmethod(counted(calls, "from_vectors", Subspace.from_vectors)),
     )
-    monkeypatch.setattr(Subspace, "contains", counted("contains", Subspace.contains))
+    monkeypatch.setattr(Subspace, "contains", counted(calls, "contains", Subspace.contains))
     system = RootSystem.named(name)
     w = from_word(system, [0, 1, 2])
     assert not w.is_involution
