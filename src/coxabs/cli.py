@@ -6,7 +6,8 @@ to a Coxeter matrix file whose first token is the rank followed by the
 rank-squared matrix entries.  Elements are given as comma-separated
 generator words via --word (s1,s2,... or bare 1-based numbers; s and t
 work for rank 2) or as --w0 for the longest element.  Exit codes: 0 on
-success, 1 when verification fails, 2 on usage errors.
+success, 1 when verification fails, 2 on usage errors, a path that
+cannot be read or written among them.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .classify import (
     involution_class_table,
     lattice_by_classification,
 )
-from .dihedral import dihedral_report
+from .dihedral import Dihedral, dihedral_report
 from .element import Element, from_word, longest_element
 from .oracles import DYER_MAX_WORD, dyer_reflection_length
 from .parabolic import Parabolic
@@ -96,12 +97,18 @@ def _parse_word(text: str, rank: int) -> list[int]:
     return word
 
 
-def _element_from_args(system: RootSystem, args) -> Element:
+def _word_from_args(args, rank: int) -> list[int] | None:
+    """The generator word of --word, or None for --w0."""
     if args.w0:
-        return longest_element(system)
+        return None
     if args.word is None:
         raise UsageError("need --word or --w0")
-    return from_word(system, _parse_word(args.word, system.rank))
+    return _parse_word(args.word, rank)
+
+
+def _element_from_args(system: RootSystem, args) -> Element:
+    word = _word_from_args(args, system.rank)
+    return longest_element(system) if word is None else from_word(system, word)
 
 
 def _cmd_build(args) -> int:
@@ -174,35 +181,33 @@ def _cmd_interval(args) -> int:
 
 def _cmd_lattice(args) -> int:
     bond = _symbolic_bond(args.type)
+    witness = ""
     if bond is not None:
-        report = dihedral_report(bond)
-        verdict = report["is_lattice_bruteforce"]
-        agree = report["tests_agree"]
-        print("LATTICE" if verdict else "NOT A LATTICE")
-        print(
-            f"brute={report['is_lattice_bruteforce']} "
-            f"structural={report['is_lattice_structural']} "
-            f"classification={report['is_lattice_by_classification']} "
-            f"agree={agree}"
-        )
-        return 0 if agree else 1
-    system = _load_system(args.type)
-    element = _element_from_args(system, args)
-    if not element.is_involution:
-        raise UsageError("lattice requires an involution word")
-    poset = interval_of_involution(element)
-    brute, _ = is_lattice_bruteforce(poset)
-    structural, failure = is_lattice_structural(element)
-    classified = lattice_by_classification(element)
+        group = Dihedral(bond)
+        word = _word_from_args(args, 2)
+        u = group.longest_element() if word is None else group.from_word(word)
+        if not group.is_involution(u):
+            raise UsageError("lattice requires an involution word")
+        brute, _ = group.lattice_bruteforce(u)
+        structural, _ = group.lattice_structural(u)
+        classified = group.lattice_by_classification(u)
+    else:
+        system = _load_system(args.type)
+        element = _element_from_args(system, args)
+        if not element.is_involution:
+            raise UsageError("lattice requires an involution word")
+        poset = interval_of_involution(element)
+        brute, _ = is_lattice_bruteforce(poset)
+        structural, failure = is_lattice_structural(element)
+        classified = lattice_by_classification(element)
+        if failure is not None:
+            inter = format_type_multiset(failure.intersection.type_labels)
+            witness = f"; witness: P1 ∩ P2 of type {inter}"
     agree = brute == structural == classified
     if brute and structural and classified:
         print("LATTICE")
     else:
-        print("NOT A LATTICE", end="")
-        if failure is not None:
-            inter = format_type_multiset(failure.intersection.type_labels)
-            print(f"; witness: P1 ∩ P2 of type {inter}", end="")
-        print()
+        print(f"NOT A LATTICE{witness}")
     print(
         f"brute={brute} structural={structural} "
         f"classification={classified} agree={agree}"
@@ -338,7 +343,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (UsageError, CoxeterError) as exc:
+    except (UsageError, CoxeterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

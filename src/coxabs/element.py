@@ -17,12 +17,16 @@ whose echelon and its annihilator give parabolic_closure.  The
 FieldScalar matrix, fixed space and moved space are the reference the
 tests and verify compare against.
 
+longest_element is the cached one of the full Parabolic.  It, the l_T
+memo and the group table live as long as their RootSystem.
 enumerate_group lists the whole group in one preallocated int32 table of
 group_order rows; a group whose table, words and keys would pass
 TABLE_CAP_BYTES is refused from its order, before anything is allocated.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -72,11 +76,6 @@ class Element:
         inv = np.empty_like(self.perm)
         inv[self.perm] = np.arange(len(self.perm), dtype=self.perm.dtype)
         return Element(self.system, inv)
-
-    @property
-    def is_identity(self) -> bool:
-        simple = self.system.simple_idx
-        return self.perm[simple].tolist() == simple.tolist()
 
     @property
     def is_involution(self) -> bool:
@@ -203,22 +202,10 @@ def from_word(system: RootSystem, word) -> Element:
 
 
 def longest_element(system: RootSystem) -> Element:
-    """The longest element, by greedy ascent through positive images."""
-    if system._w0 is not None:
-        return system._w0
-    w = identity(system)
-    n_pos = system.n_pos
-    while True:
-        up = None
-        for s in range(system.rank):
-            if w.image_of_simple(s) < n_pos:
-                up = s
-                break
-        if up is None:
-            break
-        w = w * simple_reflection(system, up)
-    system._w0 = w
-    return w
+    """The longest element: that of the full parabolic, by greedy descent."""
+    from .parabolic import Parabolic  # deferred: parabolic imports this module
+
+    return Parabolic(system, (1 << system.n_pos) - 1).longest_element
 
 
 def check_T_reduced(system: RootSystem, reflection_indices) -> bool:
@@ -254,8 +241,6 @@ class GroupEnumeration:
         self.perms = perms
         self.words = words
         self.index = index
-        self._ell_t: np.ndarray | None = None
-        self._inverse_ids: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -279,23 +264,19 @@ class GroupEnumeration:
             count=len(images),
         )
 
-    @property
+    @cached_property
     def inverse_ids(self) -> np.ndarray:
-        if self._inverse_ids is None:
-            inv_perms = np.argsort(self.perms, axis=1)
-            simple = self.system.simple_idx
-            self._inverse_ids = self.ids_of_images(inv_perms[:, simple])
-        return self._inverse_ids
+        inv_perms = np.argsort(self.perms, axis=1)
+        return self.ids_of_images(inv_perms[:, self.system.simple_idx])
 
-    @property
+    @cached_property
     def reflection_lengths(self) -> np.ndarray:
         """l_T for every element id, as one array."""
-        if self._ell_t is None:
-            out = np.empty(self.size, dtype=np.int8)
-            for i in range(self.size):
-                out[i] = self.element(i).reflection_length()
-            self._ell_t = out
-        return self._ell_t
+        return np.fromiter(
+            (self.element(i).reflection_length() for i in range(self.size)),
+            dtype=np.int8,
+            count=self.size,
+        )
 
     def involution_ids(self) -> np.ndarray:
         """Ids of all elements with w * w = identity, identity included."""

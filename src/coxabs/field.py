@@ -73,18 +73,6 @@ class FieldScalar:
     # ------------------------------------------------------------------
     # structure queries
 
-    @property
-    def rational_part(self):
-        return self.coords[0]
-
-    @property
-    def is_rational(self) -> bool:
-        return not self.coords[1]
-
-    @property
-    def is_zero(self) -> bool:
-        return not (self.coords[0] or self.coords[1])
-
     def __bool__(self) -> bool:
         return bool(self.coords[0] or self.coords[1])
 

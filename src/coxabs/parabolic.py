@@ -15,14 +15,17 @@ off the reflection table between non-orthogonal simple roots; the
 FieldScalar Subspace behind span, is_closed and contains_element is the
 reference the tests and verify compare against.
 
-Heavyweight derived data (simple systems, component types, longest
-elements) is cached per system and mask so sweeps over many involutions
-stay cheap.
+A Parabolic is interned per system and mask, and its derived data
+(simple system, component types, longest element, the involutive test)
+are cached properties, so sweeps over many involutions stay cheap.  The
+intern table, RootSystem._parabolics, lives as long as its system and
+holds at most one entry per parabolic subgroup of W.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -66,57 +69,38 @@ class Parabolic:
 
     Construct through closure_of_roots, parabolic_closure, standard, or
     intersect; the mask handed to the constructor must already be closed.
+    Instances are interned: Parabolic(system, mask) returns the one
+    instance for that mask, kept in system._parabolics, so equality is
+    identity and every derived datum below is computed once.  The table
+    lives as long as its RootSystem and holds at most one entry per
+    parabolic subgroup of W.
     """
 
-    __slots__ = ("system", "mask")
-
-    def __init__(self, system: RootSystem, mask: int):
-        self.system = system
-        self.mask = mask
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Parabolic)
-            and self.system is other.system
-            and self.mask == other.mask
-        )
-
-    def __hash__(self):
-        return hash((id(self.system), self.mask))
+    def __new__(cls, system: RootSystem, mask: int):
+        p = system._parabolics.get(mask)
+        if p is None:
+            p = system._parabolics[mask] = super().__new__(cls)
+            p.system = system
+            p.mask = mask
+        return p
 
     def __repr__(self) -> str:
-        from .rootsystem import format_type_multiset
+        types = rootsystem.format_type_multiset(self.type_labels)
+        return f"Parabolic({types}, {self.rank} roots span)"
 
-        return f"Parabolic({format_type_multiset(self.type_labels)}, {self.rank} roots span)"
-
-    # -- cached per-mask data ---------------------------------------------
-
-    def _info(self) -> dict:
-        info = self.system._subsystem_cache.get(self.mask)
-        if info is None:
-            info = {}
-            self.system._subsystem_cache[self.mask] = info
-        return info
-
-    @property
+    @cached_property
     def root_indices(self) -> tuple[int, ...]:
-        info = self._info()
-        if "indices" not in info:
-            info["indices"] = indices_from_mask(self.mask)
-        return info["indices"]
+        return indices_from_mask(self.mask)
 
     @property
     def size(self) -> int:
         """Number of positive roots in the subsystem."""
         return self.mask.bit_count()
 
-    @property
+    @cached_property
     def span(self) -> Subspace:
-        info = self._info()
-        if "span" not in info:
-            rows = [self.system.roots[i] for i in self.root_indices]
-            info["span"] = Subspace.from_vectors(rows, self.system.rank)
-        return info["span"]
+        rows = [self.system.roots[i] for i in self.root_indices]
+        return Subspace.from_vectors(rows, self.system.rank)
 
     @property
     def rank(self) -> int:
@@ -131,7 +115,7 @@ class Parabolic:
 
     # -- simple system and type --------------------------------------------
 
-    @property
+    @cached_property
     def simple_system(self) -> tuple[int, ...]:
         """Positive roots of the subsystem that are simple inside it.
 
@@ -139,18 +123,13 @@ class Parabolic:
         permutes the remaining subsystem positives; checking image
         positivity against the reflection table implements that directly.
         """
-        info = self._info()
-        if "simples" not in info:
-            sys = self.system
-            n_pos = sys.n_pos
-            idx = np.array(self.root_indices, dtype=np.int64)
-            simples = []
-            for b in self.root_indices:
-                row = sys.reflection_table[b][idx]
-                if bool(((row < n_pos) | (idx == b)).all()):
-                    simples.append(b)
-            info["simples"] = tuple(simples)
-        return info["simples"]
+        sys = self.system
+        idx = np.array(self.root_indices, dtype=np.int64)
+        return tuple(
+            b
+            for b in self.root_indices
+            if bool(((sys.reflection_table[b][idx] < sys.n_pos) | (idx == b)).all())
+        )
 
     def _diagram(self) -> list[tuple[TypeLabel, tuple]]:
         """recognize on the simple system, with the bonds of its
@@ -163,27 +142,17 @@ class Parabolic:
         }
         return recognize(self.simple_system, bonds)
 
-    @property
+    @cached_property
     def components(self) -> tuple["Parabolic", ...]:
-        """Irreducible components, each again a Parabolic, named by
-        recognize."""
-        info = self._info()
-        if "components" not in info:
-            comps = []
-            for label, simples in self._diagram():
-                comp = closure_of_roots(self.system, simples)
-                comp._info()["types"] = (label,)
-                comps.append(comp)
-            info["components"] = tuple(sorted(comps, key=lambda p: p.root_indices))
-        return info["components"]
+        """Irreducible components, each again a Parabolic."""
+        comps = (closure_of_roots(self.system, nodes) for _, nodes in self._diagram())
+        return tuple(sorted(comps, key=lambda p: p.root_indices))
 
-    @property
+    @cached_property
     def type_labels(self) -> tuple[TypeLabel, ...]:
-        """Sorted multiset of irreducible types of the components."""
-        info = self._info()
-        if "types" not in info:
-            info["types"] = tuple(sorted(label for label, _ in self._diagram()))
-        return info["types"]
+        """Sorted multiset of irreducible types of the components, named
+        by recognize."""
+        return tuple(sorted(label for label, _ in self._diagram()))
 
     @property
     def group_order(self) -> int:
@@ -191,34 +160,22 @@ class Parabolic:
 
     # -- longest element and the -Id test -----------------------------------
 
-    @property
+    @cached_property
     def longest_element(self) -> Element:
         """Longest element of the subsystem, by greedy descent removal."""
-        info = self._info()
-        if "w0" not in info:
-            sys = self.system
-            n_pos = sys.n_pos
-            simples = self.simple_system
-            perm = np.arange(sys.n_roots, dtype=np.int32)
-            while True:
-                up = next((b for b in simples if perm[b] < n_pos), None)
-                if up is None:
-                    break
-                perm = perm[sys.reflection_table[up]]
-            info["w0"] = perm
-        return Element(self.system, info["w0"])
+        sys = self.system
+        perm = np.arange(sys.n_roots, dtype=np.int32)
+        while True:
+            up = next((b for b in self.simple_system if perm[b] < sys.n_pos), None)
+            if up is None:
+                return Element(sys, perm)
+            perm = perm[sys.reflection_table[up]]
 
-    @property
+    @cached_property
     def is_involutive(self) -> bool:
         """Whether the longest element acts as -Id on the subsystem span."""
-        info = self._info()
-        if "involutive" not in info:
-            n_pos = self.system.n_pos
-            w0 = self.longest_element.perm
-            info["involutive"] = all(
-                int(w0[b]) == b + n_pos for b in self.simple_system
-            )
-        return info["involutive"]
+        w0, n_pos = self.longest_element.perm, self.system.n_pos
+        return all(int(w0[b]) == b + n_pos for b in self.simple_system)
 
     @property
     def central_involution(self) -> Element | None:
@@ -375,9 +332,6 @@ def all_subparabolics(p: Parabolic) -> list[Parabolic]:
     conjugation by the subsystem's simple reflections finds them all.
     """
     sys = p.system
-    info = p._info()
-    if "all_sub" in info:
-        return [Parabolic(sys, m) for m in info["all_sub"]]
     simples = p.simple_system
     seeds = set()
     for r in range(len(simples) + 1):
@@ -393,6 +347,4 @@ def all_subparabolics(p: Parabolic) -> list[Parabolic]:
             if img not in seen:
                 seen.add(img)
                 queue.append(img)
-    ordered = sorted(seen)
-    info["all_sub"] = ordered
-    return [Parabolic(sys, m) for m in ordered]
+    return [Parabolic(sys, m) for m in sorted(seen)]

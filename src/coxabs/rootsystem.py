@@ -480,12 +480,12 @@ class RootSystem:
         self.positive_rows = np.array(
             [rows[0] for rows in self.int_rows[: self.n_pos]], dtype=np.int64
         )
-        # per-system caches filled lazily by other modules
-        self._orth: np.ndarray | None = None
-        self._subsystem_cache: dict = {}
-        self._ell_t_cache: dict[bytes, int] = {}  # by Element.key()
+        # caches that live as long as the system, filled by other modules:
+        # the interned Parabolic per closed mask (at most one per parabolic
+        # subgroup), l_T by Element.key(), and the enumerated group
+        self._parabolics: dict = {}
+        self._ell_t_cache: dict[bytes, int] = {}
         self._group = None
-        self._w0 = None
 
     # -- construction ---------------------------------------------------
 
@@ -611,17 +611,14 @@ class RootSystem:
         """Form value B(root_i, root_j), on the reference view."""
         return linalg.dot(self.gram, self.roots[i], self.roots[j])
 
-    @property
+    @cached_property
     def orthogonality(self) -> np.ndarray:
         """Boolean matrix over positive roots: True where B(a, b) = 0.
 
         s_a(b) = b - (2 B(a, b) / B(a, a)) a, so s_a fixes b exactly when
         B(a, b) = 0: the matrix is read off the reflection table.
         """
-        if self._orth is None:
-            n = self.n_pos
-            self._orth = self.reflection_table[:, :n] == np.arange(n)
-        return self._orth
+        return self.reflection_table[:, : self.n_pos] == np.arange(self.n_pos)
 
     def bond_between(self, i: int, j: int) -> int:
         """Bond label m of two distinct positive roots, read off the table.

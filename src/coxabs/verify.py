@@ -18,6 +18,7 @@ minute.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 import time
 import traceback
@@ -435,18 +436,13 @@ def _order_law_failures(system: RootSystem) -> tuple[list[str], int]:
         if below != bool((t_w0 == w0_t).all()):
             failures.append(f"reflection {t} vs w0: order/commutation")
 
-    moved_cache: dict = {}
-    fixed_cache: dict = {}
-
+    @functools.cache
     def moved(i: int):
-        if i not in moved_cache:
-            moved_cache[i] = enum.element(i).moved_space()
-        return moved_cache[i]
+        return enum.element(i).moved_space()
 
+    @functools.cache
     def fixed(i: int):
-        if i not in fixed_cache:
-            fixed_cache[i] = enum.element(i).fixed_space()
-        return fixed_cache[i]
+        return enum.element(i).fixed_space()
 
     invol_ids = np.nonzero(invol)[0]
     for ui in invol_ids:

@@ -97,7 +97,7 @@ def test_decompose_identity_is_empty():
     system = RootSystem.named("A2")
     factorization = decompose_involution(identity(system))
     assert factorization.factors == ()
-    assert factorization.product().is_identity
+    assert factorization.product() == identity(system)
 
 
 def test_decompose_rejects_non_involutions():

@@ -163,12 +163,9 @@ def test_lattice_disagreement_exits_1(capsys, monkeypatch):
 
 
 def test_symbolic_lattice_disagreement_exits_1(capsys, monkeypatch):
-    real = cli.dihedral_report
-
-    def disagreeing(m):
-        return {**real(m), "is_lattice_structural": False, "tests_agree": False}
-
-    monkeypatch.setattr(cli, "dihedral_report", disagreeing)
+    monkeypatch.setattr(
+        cli.Dihedral, "lattice_structural", lambda self, u: (False, None)
+    )
     code, out, _ = run(capsys, "lattice", "I2(10)", "--w0")
     assert code == 1
     assert "structural=False" in out and "agree=False" in out
@@ -210,6 +207,56 @@ def test_missing_word_and_w0(capsys):
     code, _, err = run(capsys, "length", "A3")
     assert code == 2
     assert "--word" in err or "--w0" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["I2(8)", "--word", "1,2"], "lattice requires an involution word"),
+        (["I2(8)"], "need --word or --w0"),
+        (["I2(6)", "--word", "1,2"], "lattice requires an involution word"),
+        (["I2(6)"], "need --word or --w0"),
+    ],
+)
+def test_lattice_refuses_a_missing_element_or_a_non_involution(
+    capsys, argv, message
+):
+    code, out, err = run(capsys, "lattice", *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_symbolic_lattice_decides_the_given_involution(capsys, monkeypatch):
+    tops = []
+    verdicts = ("lattice_bruteforce", "lattice_structural", "lattice_by_classification")
+    for name in verdicts:
+        real = getattr(cli.Dihedral, name)
+
+        def recording(self, u, real=real):
+            tops.append(u)
+            return real(self, u)
+
+        monkeypatch.setattr(cli.Dihedral, name, recording)
+    code, out, _ = run(capsys, "lattice", "I2(8)", "--word", "2")
+    assert (code, out.splitlines()[0]) == (0, "LATTICE")
+    assert tops == [cli.Dihedral(8).reflection(1)] * 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "{tmp}"],
+        ["interval", "A3", "--w0", "--dot", "{tmp}/missing/x.dot"],
+        ["classify", "A3", "--json", "{tmp}/missing/x.json"],
+        ["verify", "--only", "hurwitz", "--json", "{tmp}/missing/x.json"],
+    ],
+)
+def test_a_path_that_cannot_be_read_or_written_is_a_usage_error(
+    capsys, tmp_path, argv
+):
+    code, _, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_usage_error_on_no_arguments():

@@ -42,9 +42,13 @@ def test_group_orders(name, order):
     assert enum.size == order
 
 
-def test_reducible_group_order_is_the_product():
+def b2xa1_system():
     text = (Path(__file__).parent / "data" / "matrices" / "b2xa1.txt").read_text()
-    system = RootSystem(CoxeterMatrix.from_text(text))
+    return RootSystem(CoxeterMatrix.from_text(text))
+
+
+def test_reducible_group_order_is_the_product():
+    system = b2xa1_system()
     assert system.group_order == 8 * 2
     assert enumerate_group(system).size == 16
 
@@ -91,7 +95,7 @@ def test_identity_and_generator_relations():
     e = identity(system)
     s = simple_reflection(system, 0)
     t = simple_reflection(system, 1)
-    assert e.is_identity
+    assert e == identity(system)
     assert s * s == e
     assert t * t == e
     # the bond-4 braid relation
@@ -119,11 +123,12 @@ def test_inversion_set_counts_length():
 
 
 def test_longest_element_is_an_involution():
-    for name in ("A3", "B3", "D4", "H3"):
-        system = RootSystem.named(name)
+    names = ("A3", "B3", "D4", "H3", "I2(5)", "G2", "F4", "E6")
+    for system in [RootSystem.named(name) for name in names] + [b2xa1_system()]:
         w0 = longest_element(system)
         assert w0.is_involution
-        assert (w0 * w0).is_identity
+        assert w0 * w0 == identity(system)
+        assert w0.length_S() == system.n_pos
 
 
 def test_w0_central_exactly_when_minus_id():

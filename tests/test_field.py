@@ -23,15 +23,15 @@ def fibonacci(n):
 
 def test_rational_round_trip():
     x = rational(3, 7)
-    assert x.is_rational
-    assert x.rational_part == rational(3, 7).rational_part
+    assert not x.coords[1]
+    assert x.coords[0] == rational(3, 7).coords[0]
     assert float(x) == pytest.approx(3 / 7)
 
 
 def test_constants():
-    assert ZERO.is_zero
+    assert not ZERO
     assert ONE - HALF == HALF
-    assert not PHI.is_rational
+    assert PHI.coords[1]
     assert float(PHI) == pytest.approx((1 + math.sqrt(5)) / 2)
     assert float(SQRT5) == pytest.approx(math.sqrt(5))
 

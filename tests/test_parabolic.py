@@ -240,6 +240,24 @@ def test_component_split():
     assert joined == p.mask
 
 
+def test_parabolics_are_interned_and_compute_each_property_once(monkeypatch):
+    calls = Counter()
+    monkeypatch.setattr(
+        parabolic, "recognize", counted(calls, "recognize", parabolic.recognize)
+    )
+    system = RootSystem(named_coxeter_matrix(parse_label("B3")))  # uncached
+    mask = standard_parabolic(system, [1, 2]).mask
+    first, second = Parabolic(system, mask), Parabolic(system, mask)
+    assert first is second
+    assert first.type_labels == second.type_labels == (parse_label("B2"),)
+    assert calls["recognize"] == 1
+    assert first.longest_element is second.longest_element
+    # a component names itself on first use, with one recognize of its own
+    comps = standard_parabolic(system, [0, 2]).components
+    assert [c.type_labels for c in comps] == [(parse_label("A1"),)] * 2
+    assert calls["recognize"] == 4
+
+
 def test_group_order_of_parabolic():
     system = RootSystem.named("H4")
     p = standard_parabolic(system, [0, 1, 2])
@@ -279,7 +297,7 @@ def test_involution_closures_are_involutive():
         w = enum.element(int(i))
         p = parabolic_closure(w)
         assert p.is_involutive
-        if not w.is_identity:
+        if i:  # id 0 is the identity
             assert p.central_involution == w
 
 
