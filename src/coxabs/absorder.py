@@ -12,25 +12,27 @@ so this module keeps two fully independent lattice tests:
 
   * is_lattice_bruteforce works on the interval order alone: down-sets
     built from the covers x = y t (t a reflection, one rank down) as
-    bitsets, and one scan asking of every incomparable pair whether its
-    common lower bounds form a down-set;
+    bitsets, and one scan asking of every pair whether its common lower
+    bounds form a down-set, one set test per row;
   * is_lattice_structural never looks at the interval order and instead
-    intersects parabolic closures, asking each intersection whether its
-    longest element acts as -Id on its span.
+    intersects parabolic closures, read off all the involutions at once,
+    asking each intersection whether its longest element is -Id on its span.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from itertools import repeat
 
 import numpy as np
 
-from .element import Element
+from .element import Element, void_rows
 from .parabolic import (
     Parabolic,
     all_subparabolics,
     indices_from_mask,
+    involution_masks,
     involutions_with_words,
     parabolic_closure,
 )
@@ -80,6 +82,10 @@ class IntervalPoset:
             raise KeyError("element is not in the interval") from None
 
 
+#: rows per gather of cover keys, which bounds the key bytes held at once
+COVER_BLOCK = 64
+
+
 def interval_of_involution(u: Element) -> IntervalPoset:
     """Materialize [1, u] for an involution u.
 
@@ -97,7 +103,7 @@ def interval_of_involution(u: Element) -> IntervalPoset:
     (the prefixes of a T-reduced word of x^-1 y), all of them reflections
     of P(u).  So in rank order each down-set is y itself joined with the
     down-sets of its lower covers y t, with no reflection length of a
-    product taken.
+    product taken; one gather per block of rows gives the keys of all y t.
     """
     if not u.is_involution:
         raise ValueError("interval construction requires an involution top")
@@ -107,25 +113,26 @@ def interval_of_involution(u: Element) -> IntervalPoset:
     elements = [e for e, _ in pairs]
     words = [w for _, w in pairs]
     ranks = np.array([len(w) for w in words], dtype=np.int16)
-    ids = {e.key(): i for i, e in enumerate(elements)}
+    n = len(elements)
+    perms = np.array([e.perm for e in elements])
+    ids = dict(zip(void_rows(perms[:, sys.simple_idx]).tolist(), range(n)))
     if u.key() not in ids:
         raise AssertionError("top element missing from its own interval")
-    # row k: t_k at the simple roots, so e.perm[reflections] row k is
-    # the key of e t_k
-    reflections = sys.reflection_table[np.ix_(p.root_indices, sys.simple_idx)]
-    width = reflections.shape[1] * reflections.itemsize
-    rank_of = ranks.tolist()
-    down = []
-    hasse = []
-    for y, e in enumerate(elements):
-        below = 1 << y
-        products = e.perm[reflections].tobytes()
-        for start in range(0, len(products), width):
-            x = ids.get(products[start : start + width])
-            if x is not None and rank_of[x] == rank_of[y] - 1:
-                below |= down[x]
-                hasse.append((x, y))
-        down.append(below)
+    # row k: t_k at the simple roots, so perms[:, reflections] gathers the
+    # key of every y t_k, COVER_BLOCK rows y at a time.  y t_k is one rank
+    # off y, so it is a lower cover exactly when its id is smaller
+    rows = np.array(p.root_indices, dtype=np.intp)[:, None]
+    reflections = sys.reflection_table[rows, sys.simple_idx]
+    down, hasse = [1 << y for y in range(n)], []
+    for lo in range(0, n, COVER_BLOCK):
+        block = perms[lo : lo + COVER_BLOCK, reflections]
+        keys = void_rows(block.reshape(-1, sys.rank)).tolist()
+        found = np.fromiter(map(ids.get, keys, repeat(n)), np.int64, len(keys))
+        found = found.reshape(len(block), -1)
+        upper, col = np.nonzero(found < np.arange(lo, lo + len(block))[:, None])
+        hasse += zip(found[upper, col].tolist(), (upper + lo).tolist())
+    for x, y in hasse:  # y ascending, and x < y
+        down[y] |= down[x]
     hasse.sort()
     return IntervalPoset(u, elements, words, ranks, down, hasse, ids)
 
@@ -153,25 +160,22 @@ def maximal_lower_bounds(down: list[int], i: int, j: int) -> tuple[int, ...]:
 
 
 def first_meet_failure(down: list[int]):
-    """The first incomparable pair without a greatest lower bound.
+    """The first pair without a greatest lower bound.
 
     down[k] is the down-set of k as a bitset, with ids numbered along a
-    linear extension of the order (x < y gives id x < id y), so a pair
-    i < j is comparable exactly when bit i of down[j] is set.  An
-    incomparable pair has a meet exactly when its common lower bounds
-    form some down-set.  Scans j, then i < j, and returns (i, j), or None
-    when every pair has a greatest lower bound.
+    linear extension of the order (x < y gives id x < id y).  A pair has
+    a meet exactly when its common lower bounds form some down-set; a
+    comparable pair always does, since then down[i] & down[j] = down[i].
+    Scans j, then i < j, and returns (i, j), or None when every pair has
+    a greatest lower bound.  Each row j is one C-level subset test over
+    all i < j, and only a failing row is walked pair by pair.
     """
     principal = set(down)
-    nbytes = (len(down) + 7) // 8
     for j, below_j in enumerate(down):
-        bits = np.unpackbits(
-            np.frombuffer(below_j.to_bytes(nbytes, "little"), np.uint8),
-            bitorder="little",
-        )
-        for i in np.flatnonzero(bits[:j] == 0).tolist():
-            if down[i] & below_j not in principal:
-                return i, j
+        if not principal.issuperset(map(below_j.__and__, down[:j])):
+            return next(
+                (i, j) for i in range(j) if down[i] & below_j not in principal
+            )
     return None
 
 
@@ -218,7 +222,7 @@ def is_lattice_structural(u: Element):
     sys = u.system
     p = parabolic_closure(u)
     pairs = involutions_with_words(p)
-    masks = [parabolic_closure(e).mask for e, _ in pairs]
+    masks = involution_masks(sys, np.array([e.perm for e, _ in pairs]))
     involutive: dict[int, bool] = {}  # one verdict per distinct intersection
     for j, mj in enumerate(masks):
         for i in range(j):

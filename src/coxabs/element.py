@@ -92,9 +92,7 @@ class Element:
     def inversion_set(self) -> list[int]:
         """Positive root indices t with w^-1(root_t) negative."""
         n_pos = self.system.n_pos
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(len(self.perm), dtype=self.perm.dtype)
-        return [t for t in range(n_pos) if inv[t] >= n_pos]
+        return np.flatnonzero(self.inverse().perm[:n_pos] >= n_pos).tolist()
 
     def length_S(self) -> int:
         """Word length over the simple generators."""
@@ -102,20 +100,13 @@ class Element:
 
     def reduced_word(self) -> tuple[int, ...]:
         """A reduced word (0-based generator indices), built by descents."""
-        w = self
-        letters = []
-        n_pos = self.system.n_pos
+        sys, w, letters = self.system, self, []
         while True:
-            desc = None
-            for s in range(self.system.rank):
-                if w.image_of_simple(s) >= n_pos:
-                    desc = s
-                    break
-            if desc is None:
-                break
-            w = w * simple_reflection(self.system, desc)
-            letters.append(desc)
-        return tuple(reversed(letters))
+            descents = np.flatnonzero(w.perm[sys.simple_idx] >= sys.n_pos).tolist()
+            if not descents:
+                return tuple(reversed(letters))
+            w = w * simple_reflection(sys, descents[0])
+            letters.append(descents[0])
 
     # -- geometric action ----------------------------------------------------
 
@@ -252,17 +243,23 @@ class GroupEnumeration:
     def id_of(self, elt: Element) -> int:
         return self.index[elt.key()]
 
+    @cached_property
+    def sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """The keys as void scalars in sorted order, and the id of each."""
+        keys = void_rows(self.perms[:, self.system.simple_idx])
+        order = np.argsort(keys)
+        return keys[order], order
+
     def ids_of_images(self, images: np.ndarray) -> np.ndarray:
         """Ids of the elements whose simple-root images are the rows of
-        images, as one array."""
-        raw = np.ascontiguousarray(images, dtype=np.int32).tobytes()
-        width = 4 * self.system.rank
-        index = self.index
-        return np.fromiter(
-            (index[raw[k : k + width]] for k in range(0, len(raw), width)),
-            dtype=np.int64,
-            count=len(images),
-        )
+        images, by binary search in sorted_keys; KeyError for a row that
+        is no element's key."""
+        keys, ids = self.sorted_keys
+        query = void_rows(images)
+        at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+        if not (keys[at] == query).all():
+            raise KeyError("a row is not the simple-root images of a group element")
+        return ids[at]
 
     @cached_property
     def inverse_ids(self) -> np.ndarray:
@@ -283,6 +280,12 @@ class GroupEnumeration:
         simple = self.system.simple_idx
         squares = np.take_along_axis(self.perms, self.perms[:, simple], axis=1)
         return np.nonzero((squares == simple).all(axis=1))[0]
+
+
+def void_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array, as int32, viewed as one opaque void scalar."""
+    rows = np.ascontiguousarray(rows, dtype=np.int32)
+    return rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
 
 
 def enumerate_group(system: RootSystem) -> GroupEnumeration:

@@ -54,14 +54,7 @@ def mask_from_indices(indices) -> int:
 
 def conjugate_mask(system: RootSystem, mask: int, perm: np.ndarray) -> int:
     """Image of a positive-root set under a group element, as positives."""
-    n_pos = system.n_pos
-    out = 0
-    for i in indices_from_mask(mask):
-        img = int(perm[i])
-        if img >= n_pos:
-            img -= n_pos
-        out |= 1 << img
-    return out
+    return mask_from_indices(perm[list(indices_from_mask(mask))] % system.n_pos)
 
 
 class Parabolic:
@@ -124,12 +117,10 @@ class Parabolic:
         positivity against the reflection table implements that directly.
         """
         sys = self.system
-        idx = np.array(self.root_indices, dtype=np.int64)
-        return tuple(
-            b
-            for b in self.root_indices
-            if bool(((sys.reflection_table[b][idx] < sys.n_pos) | (idx == b)).all())
-        )
+        idx = np.array(self.root_indices, dtype=np.intp)
+        keeps = sys.reflection_table[np.ix_(idx, idx)] < sys.n_pos
+        np.fill_diagonal(keeps, True)
+        return tuple(idx[keeps.all(axis=1)].tolist())
 
     def _diagram(self) -> list[tuple[TypeLabel, tuple]]:
         """recognize on the simple system, with the bonds of its
@@ -208,10 +199,6 @@ class Parabolic:
         moves nothing outside the span."""
         return self.span.contains_subspace(w.moved_space())
 
-    def reflections(self) -> list[Element]:
-        sys = self.system
-        return [Element(sys, sys.reflection_table[t]) for t in self.root_indices]
-
 
 # ----------------------------------------------------------------------
 # constructors
@@ -261,14 +248,21 @@ def parabolic_closure(w: Element) -> Parabolic:
     in the span of w.moved_rows(), as Im(M_w - Id) = Fix(w)^perp.  For an
     involution w is -Id on the moved space, so a root lies in it exactly
     when w sends it to its own negative; that reads the mask straight off
-    the permutation.
+    the permutation (involution_masks).
     """
     sys = w.system
-    n_pos = sys.n_pos
     if w.is_involution:
-        flipped = np.nonzero(w.perm[:n_pos] == np.arange(n_pos) + n_pos)[0]
-        return Parabolic(sys, mask_from_indices(flipped))
+        return Parabolic(sys, involution_masks(sys, w.perm[None])[0])
     return Parabolic(sys, _roots_in_row_span(sys, w.moved_rows()))
+
+
+def involution_masks(system: RootSystem, perms: np.ndarray) -> list[int]:
+    """Closure masks of the involutions whose perms are the rows of perms:
+    the positive roots each sends to its own negative, packed per row."""
+    n_pos = system.n_pos
+    flipped = perms[:, :n_pos] == np.arange(n_pos, 2 * n_pos)
+    packed = np.packbits(flipped, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 # ----------------------------------------------------------------------
@@ -287,36 +281,41 @@ def involutions_with_words(p: Parabolic) -> list[tuple[Element, tuple[int, ...]]
     (Carter, Compositio Math. 25, 1972).  Results are sorted by that
     length, then by permutation.
 
+    The roots a clique may still take are a mask cut by each new root's
+    RootSystem.orthogonal_masks.  The first word of x is t, the smallest
+    positive root x flips, then the first word of x s_t; so a clique whose
+    product was found before is no prefix of a first word, and stops.
+
     The involutions of P(u) are the candidates of the interval [1, u],
     whose down-set table takes up to count^2 / 8 bytes; the search raises
     CapExceededError as soon as the count passes what TABLE_CAP_BYTES
     admits, before it holds the rest.
     """
     sys = p.system
-    idx = p.root_indices
-    orth = sys.orthogonality
+    table, simple, orth = sys.reflection_table, sys.simple_idx, sys.orthogonal_masks
     cap = rootsystem.TABLE_CAP_BYTES
     most = math.isqrt(8 * cap)
-    found: dict[bytes, tuple[Element, tuple[int, ...]]] = {}
+    found: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
 
-    def visit(perm: np.ndarray, clique: tuple[int, ...], allowed: tuple[int, ...]):
-        elt = Element(sys, perm)
-        key = elt.key()
-        if key not in found:
-            found[key] = (elt, clique)
-            if len(found) > most:
-                raise CapExceededError(
-                    f"the involution search passed {most} elements, whose "
-                    f"down-set table would pass the cap of {cap} bytes"
-                )
-        for k, t in enumerate(allowed):
-            nxt = tuple(u for u in allowed[k + 1 :] if orth[t, u])
-            visit(perm[sys.reflection_table[t]], clique + (t,), nxt)
+    def visit(perm: np.ndarray, clique: tuple[int, ...], allowed: int):
+        key = perm[simple].tobytes()
+        if key in found:
+            return
+        found[key] = (perm, clique)
+        if len(found) > most:
+            raise CapExceededError(
+                f"the involution search passed {most} elements, whose "
+                f"down-set table would pass the cap of {cap} bytes"
+            )
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            t = low.bit_length() - 1
+            visit(perm[table[t]], clique + (t,), allowed & orth[t])
 
-    visit(np.arange(sys.n_roots, dtype=np.int32), (), idx)
-    return sorted(
-        found.values(), key=lambda ew: (len(ew[1]), ew[0].perm.tobytes())
-    )
+    visit(np.arange(sys.n_roots, dtype=np.int32), (), p.mask)
+    ordered = sorted(found.values(), key=lambda pw: (len(pw[1]), pw[0].tobytes()))
+    return [(Element(sys, perm), word) for perm, word in ordered]
 
 
 def enumerate_involutions(p: Parabolic) -> list[Element]:

@@ -620,6 +620,12 @@ class RootSystem:
         """
         return self.reflection_table[:, : self.n_pos] == np.arange(self.n_pos)
 
+    @cached_property
+    def orthogonal_masks(self) -> tuple[int, ...]:
+        """Row t of orthogonality as a Python-int bitmask of positive roots."""
+        packed = np.packbits(self.orthogonality, axis=1, bitorder="little")
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
     def bond_between(self, i: int, j: int) -> int:
         """Bond label m of two distinct positive roots, read off the table.
 

@@ -355,14 +355,12 @@ def _member_ids(parabolic: Parabolic, enum) -> frozenset:
     gens = system.reflection_table[
         np.ix_(parabolic.simple_system, system.simple_idx)
     ]
-    seen = {0}  # the identity
-    frontier = [0]
+    seen, frontier = {0}, [0]  # the identity, then a breadth-first level a step
     while frontier:
-        i = frontier.pop()
-        for j in enum.ids_of_images(enum.perms[i][gens]).tolist():
-            if j not in seen:
-                seen.add(j)
-                frontier.append(j)
+        images = enum.perms[np.array(frontier)[:, None, None], gens]
+        ids = enum.ids_of_images(images.reshape(-1, system.rank))
+        frontier = list(set(ids.tolist()) - seen)
+        seen.update(frontier)
     return frozenset(seen)
 
 

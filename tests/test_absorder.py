@@ -295,3 +295,33 @@ def test_oversized_interval_is_refused(monkeypatch):
         interval_of_involution(u)
     monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 128)
     assert interval_of_involution(u).size == 32
+
+
+def incomparable_pair_scan(down: list[int]):
+    """Reference scan: j, then i < j, testing only the incomparable pairs."""
+    principal = set(down)
+    for j, below_j in enumerate(down):
+        for i in range(j):
+            if not below_j >> i & 1 and down[i] & below_j not in principal:
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("name", SMALL_GROUP_TYPES + ("D6",))
+def test_meet_scan_equals_the_incomparable_pair_scan(name):
+    # a comparable pair has the smaller element as its meet, so testing
+    # every pair finds the same first failure
+    system = RootSystem.named(name)
+    full = Parabolic(system, (1 << system.n_pos) - 1)
+    for u, _ in involutions_with_words(full):
+        down = interval_of_involution(u).down
+        assert first_meet_failure(down) == incomparable_pair_scan(down)
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_meet_scan_equals_the_incomparable_pair_scan_on_dihedral_down_sets(m):
+    group = Dihedral(m)
+    for u in group.involutions():
+        _, _, leq = group.interval(u)
+        down = [sum(1 << int(i) for i in np.flatnonzero(col)) for col in leq.T]
+        assert first_meet_failure(down) == incomparable_pair_scan(down)

@@ -309,3 +309,22 @@ def test_multiplication_convention():
     st = s * t
     for i in range(system.n_roots):
         assert int(st.perm[i]) == int(s.perm[int(t.perm[i])])
+
+
+@pytest.mark.parametrize("name", ["H4", "E6"])
+def test_ids_of_images_equals_the_dict_lookup(name):
+    system = RootSystem.named(name)
+    enum = enumerate_group(system)
+    simple = system.simple_idx
+    assert np.array_equal(enum.ids_of_images(enum.perms[:, simple]), np.arange(enum.size))
+    # every element times every simple reflection, and every inverse
+    images = [enum.perms[:, system.reflection_table[t][simple]] for t in simple]
+    images.append(np.argsort(enum.perms, axis=1)[:, simple])
+    for rows in images:
+        expected = [enum.index[row.astype(np.int32).tobytes()] for row in rows]
+        assert enum.ids_of_images(rows).tolist() == expected
+    missing = enum.perms[:2, simple].copy()
+    missing[1] = missing[1][::-1]  # reversed images are no element's
+    assert missing[1].tobytes() not in enum.index
+    with pytest.raises(KeyError):
+        enum.ids_of_images(missing)

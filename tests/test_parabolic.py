@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from coxabs import linalg, parabolic
@@ -23,12 +24,14 @@ from coxabs.parabolic import (
     closure_of_roots,
     enumerate_involutions,
     indices_from_mask,
+    involution_masks,
     involutions_with_words,
     mask_from_indices,
     parabolic_closure,
     standard_parabolic,
 )
 from coxabs.rootsystem import RootSystem, named_coxeter_matrix, parse_label
+from coxabs.verify import SMALL_GROUP_TYPES
 
 
 def counted(calls, label, fn):
@@ -384,3 +387,52 @@ def test_span_dimension_matches_rank():
     p = closure_of_roots(system, [0, 1])
     assert p.rank == p.span.dim == 2
     assert isinstance(p.span, Subspace)
+
+
+@pytest.mark.parametrize("name", SMALL_GROUP_TYPES + ("D6", "E6", "H4"))
+def test_involution_words_start_at_the_smallest_flipped_root(name):
+    # the search keeps the lexicographically first clique of each
+    # involution x: the smallest root t that x sends to -t, then the
+    # word of x s_t
+    system = RootSystem.named(name)
+    n_pos = system.n_pos
+    pairs = involutions_with_words(full_parabolic(system))
+    word_of = {x.key(): word for x, word in pairs}
+    for x, word in pairs:
+        flipped = np.flatnonzero(x.perm[:n_pos] == np.arange(n_pos) + n_pos)
+        if not len(flipped):
+            assert word == ()
+            continue
+        t = int(flipped[0])
+        assert word == (t,) + word_of[(x * reflection(system, t)).key()]
+
+
+@pytest.mark.parametrize("name", SMALL_GROUP_TYPES + ("D6", "E6", "H4"))
+def test_involution_masks_equal_the_closures(name):
+    system = RootSystem.named(name)
+    pairs = involutions_with_words(full_parabolic(system))
+    masks = involution_masks(system, np.array([x.perm for x, _ in pairs]))
+    assert masks == [parabolic_closure(x).mask for x, _ in pairs]
+    # and the closures of the word letters, by the span route
+    assert masks == [closure_of_roots(system, word).mask for _, word in pairs]
+
+
+def test_orthogonal_masks_are_the_orthogonality_rows():
+    system = RootSystem.named("E6")
+    for t, mask in enumerate(system.orthogonal_masks):
+        assert mask == mask_from_indices(np.flatnonzero(system.orthogonality[t]))
+
+
+@pytest.mark.parametrize("name", ["B3", "D4", "F4", "H3", "H4", "E6"])
+def test_simple_system_keeps_its_roots_positive(name):
+    # b is simple in the subsystem exactly when s_b keeps every other
+    # subsystem positive root positive
+    system = RootSystem.named(name)
+    for p in all_subparabolics(full_parabolic(system))[::7]:
+        expected = tuple(
+            b
+            for b in p.root_indices
+            if all(system.reflection_table[b][c] < system.n_pos for c in p.root_indices if c != b)
+        )
+        assert p.simple_system == expected
+        assert len(expected) == p.rank
