@@ -20,9 +20,10 @@ from .classify import (
     involution_class_table,
     is_good_type,
     lattice_by_classification,
+    lattice_verdicts,
     verify_involutive_list,
 )
-from .dihedral import Dihedral, dihedral_report
+from .dihedral import Dihedral
 from .element import (
     Element,
     GroupEnumeration,
@@ -87,7 +88,6 @@ __all__ = [
     "cos_pi_over",
     "counterexample_witness",
     "decompose_involution",
-    "dihedral_report",
     "dyer_reflection_length",
     "enumerate_group",
     "enumerate_involutions",
@@ -101,6 +101,7 @@ __all__ = [
     "is_lattice_bruteforce",
     "is_lattice_structural",
     "lattice_by_classification",
+    "lattice_verdicts",
     "leq_T",
     "longest_element",
     "meet",

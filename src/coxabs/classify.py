@@ -20,8 +20,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
+from .absorder import (
+    interval_of_involution,
+    is_lattice_bruteforce,
+    is_lattice_structural,
+)
 from .dihedral import Dihedral
-from .element import Element, longest_element, simple_reflection
+from .element import Element, identity, longest_element, simple_reflection
 from .parabolic import (
     Parabolic,
     involutions_with_words,
@@ -84,6 +89,15 @@ def lattice_by_classification(u: Element) -> bool:
     return all(is_good_type(l) for l in parabolic_closure(u).type_labels)
 
 
+def lattice_verdicts(u: Element):
+    """The three independent lattice verdicts on [1, u], in the order
+    (order matrix, closure intersections, type table), with the failing
+    closure pair of the structural route or None."""
+    brute, _ = is_lattice_bruteforce(interval_of_involution(u))
+    structural, failure = is_lattice_structural(u)
+    return (brute, structural, lattice_by_classification(u)), failure
+
+
 # ----------------------------------------------------------------------
 # factorization through closure components
 
@@ -104,13 +118,9 @@ class InvolutionFactorization:
     factors: tuple[InvolutionFactor, ...]
 
     def product(self) -> Element:
-        out = None
+        out = identity(self.u.system)
         for f in self.factors:
-            out = f.element if out is None else out * f.element
-        if out is None:
-            from .element import identity
-
-            return identity(self.u.system)
+            out = out * f.element
         return out
 
     def factor_lengths_add(self) -> bool:
@@ -295,6 +305,19 @@ def counterexample_witness(label) -> CounterexampleWitness:
 # per-class tables
 
 
+def _class_row(t_word, class_size, reflection_length, closure_type, verdicts):
+    brute, structural, classified = verdicts
+    return {
+        "t_word": t_word,
+        "class_size": class_size,
+        "reflection_length": reflection_length,
+        "closure_type": closure_type,
+        "is_lattice_bruteforce": brute,
+        "is_lattice_structural": structural,
+        "is_lattice_by_classification": classified,
+    }
+
+
 def dihedral_involution_class_table(m: int) -> list[dict]:
     """Symbolic twin of involution_class_table for any I2(m).
 
@@ -312,24 +335,16 @@ def dihedral_involution_class_table(m: int) -> list[dict]:
     else:
         reps.append((group.reflection(0), (0,)))
         sizes = [1, m]
-    rows = []
-    for (rep, word), size in zip(reps, sizes):
-        kind = group.closure_kind(rep)
-        brute, _ = group.lattice_bruteforce(rep)
-        structural, _ = group.lattice_structural(rep)
-        rows.append(
-            {
-                "t_word": word,
-                "class_size": size,
-                "reflection_length": group.reflection_length(rep),
-                "closure_type": group.closure_type_string(kind),
-                "is_lattice_bruteforce": brute,
-                "is_lattice_structural": structural,
-                "is_lattice_by_classification": group.lattice_by_classification(
-                    rep
-                ),
-            }
+    rows = [
+        _class_row(
+            word,
+            size,
+            group.reflection_length(rep),
+            group.closure_type_string(group.closure_kind(rep)),
+            group.verdicts(rep),
         )
+        for (rep, word), size in zip(reps, sizes)
+    ]
     rows.sort(key=lambda r: (r["reflection_length"], r["t_word"]))
     return rows
 
@@ -338,9 +353,6 @@ def involution_class_table(system: RootSystem) -> list[dict]:
     """One row per conjugacy class of involutions: a representative
     minimal reflection word, the class size, the closure type, and the
     lattice verdicts from all three routes."""
-    from .absorder import is_lattice_bruteforce, is_lattice_structural
-    from .absorder import interval_of_involution
-
     full = Parabolic(system, (1 << system.n_pos) - 1)
     pairs = involutions_with_words(full)
     ids = {e.key(): i for i, (e, _) in enumerate(pairs)}
@@ -367,19 +379,14 @@ def involution_class_table(system: RootSystem) -> list[dict]:
     rows = []
     for members in classes:
         rep, word = pairs[members[0]]
-        closure = parabolic_closure(rep)
-        brute, _ = is_lattice_bruteforce(interval_of_involution(rep))
-        structural, _ = is_lattice_structural(rep)
         rows.append(
-            {
-                "t_word": word,
-                "class_size": len(members),
-                "reflection_length": rep.reflection_length(),
-                "closure_type": format_type_multiset(closure.type_labels),
-                "is_lattice_bruteforce": brute,
-                "is_lattice_structural": structural,
-                "is_lattice_by_classification": lattice_by_classification(rep),
-            }
+            _class_row(
+                word,
+                len(members),
+                rep.reflection_length(),
+                format_type_multiset(parabolic_closure(rep).type_labels),
+                lattice_verdicts(rep)[0],
+            )
         )
     rows.sort(key=lambda r: (r["reflection_length"], r["t_word"]))
     return rows

@@ -20,16 +20,15 @@ import sys
 from .absorder import (
     interval_of_involution,
     is_lattice_bruteforce,
-    is_lattice_structural,
     poset_to_dot,
     poset_to_json,
 )
 from .classify import (
     dihedral_involution_class_table,
     involution_class_table,
-    lattice_by_classification,
+    lattice_verdicts,
 )
-from .dihedral import Dihedral, dihedral_report
+from .dihedral import Dihedral
 from .element import Element, from_word, longest_element
 from .oracles import DYER_MAX_WORD, dyer_reflection_length
 from .parabolic import Parabolic
@@ -106,7 +105,14 @@ def _word_from_args(args, rank: int) -> list[int] | None:
     return _parse_word(args.word, rank)
 
 
-def _element_from_args(system: RootSystem, args) -> Element:
+def _element_from_args(args) -> Element:
+    """The element named by --word or --w0 in a geometric type."""
+    if _symbolic_bond(args.type) is not None:
+        raise UsageError(
+            "bond labels above 6 are symbolic-only; "
+            f"{args.command} needs a geometric type"
+        )
+    system = _load_system(args.type)
     word = _word_from_args(args, system.rank)
     return longest_element(system) if word is None else from_word(system, word)
 
@@ -114,19 +120,15 @@ def _element_from_args(system: RootSystem, args) -> Element:
 def _cmd_build(args) -> int:
     bond = _symbolic_bond(args.type)
     if bond is not None:
-        report = dihedral_report(bond)
+        # closed forms: m reflections, order 2m, w0 = -Id exactly for even m
         print(f"type: I2({bond}) (symbolic)")
         print("rank: 2")
-        print(f"reflections: {report['reflection_count']}")
-        print(f"group order: {report['order']}")
-        print(f"w0 acts as -Id: {'yes' if report['w0_is_central'] else 'no'}")
+        print(f"reflections: {bond}")
+        print(f"group order: {2 * bond}")
+        print(f"w0 acts as -Id: {'yes' if bond % 2 == 0 else 'no'}")
         return 0
     system = _load_system(args.type)
     full = Parabolic(system, (1 << system.n_pos) - 1)
-    w0 = longest_element(system)
-    minus_id = all(
-        int(w0.perm[i]) == system.negate(i) for i in range(system.n_roots)
-    )
     name = system.describe()
     if system.label is None:
         name = " x ".join(str(t) for t in full.type_labels)
@@ -134,18 +136,12 @@ def _cmd_build(args) -> int:
     print(f"rank: {system.rank}")
     print(f"positive roots: {system.n_pos}")
     print(f"group order: {full.group_order}")
-    print(f"w0 acts as -Id: {'yes' if minus_id else 'no'}")
+    print(f"w0 acts as -Id: {'yes' if full.is_involutive else 'no'}")
     return 0
 
 
 def _cmd_length(args) -> int:
-    if _symbolic_bond(args.type) is not None:
-        raise UsageError(
-            "bond labels above 6 are symbolic-only; length needs a "
-            "geometric type"
-        )
-    system = _load_system(args.type)
-    element = _element_from_args(system, args)
+    element = _element_from_args(args)
     carter = element.reflection_length()
     reduced = element.reduced_word()
     print(f"l_S = {len(reduced)}")
@@ -153,7 +149,7 @@ def _cmd_length(args) -> int:
     if len(reduced) > DYER_MAX_WORD:
         print(f"l_T (deletion oracle) = skipped (word cap {DYER_MAX_WORD})")
     else:
-        oracle = dyer_reflection_length(system, reduced)
+        oracle = dyer_reflection_length(element.system, reduced)
         verdict = "agrees" if oracle == carter else "DISAGREES"
         print(f"l_T (deletion oracle) = {oracle}, {verdict}")
         return 0 if oracle == carter else 1
@@ -161,13 +157,7 @@ def _cmd_length(args) -> int:
 
 
 def _cmd_interval(args) -> int:
-    if _symbolic_bond(args.type) is not None:
-        raise UsageError(
-            "bond labels above 6 are symbolic-only; interval needs a "
-            "geometric type"
-        )
-    system = _load_system(args.type)
-    element = _element_from_args(system, args)
+    element = _element_from_args(args)
     if not element.is_involution:
         raise UsageError("interval requires an involution word")
     poset = interval_of_involution(element)
@@ -188,26 +178,18 @@ def _cmd_lattice(args) -> int:
         u = group.longest_element() if word is None else group.from_word(word)
         if not group.is_involution(u):
             raise UsageError("lattice requires an involution word")
-        brute, _ = group.lattice_bruteforce(u)
-        structural, _ = group.lattice_structural(u)
-        classified = group.lattice_by_classification(u)
+        verdicts = group.verdicts(u)
     else:
-        system = _load_system(args.type)
-        element = _element_from_args(system, args)
+        element = _element_from_args(args)
         if not element.is_involution:
             raise UsageError("lattice requires an involution word")
-        poset = interval_of_involution(element)
-        brute, _ = is_lattice_bruteforce(poset)
-        structural, failure = is_lattice_structural(element)
-        classified = lattice_by_classification(element)
+        verdicts, failure = lattice_verdicts(element)
         if failure is not None:
             inter = format_type_multiset(failure.intersection.type_labels)
             witness = f"; witness: P1 ∩ P2 of type {inter}"
+    brute, structural, classified = verdicts
     agree = brute == structural == classified
-    if brute and structural and classified:
-        print("LATTICE")
-    else:
-        print(f"NOT A LATTICE{witness}")
+    print("LATTICE" if all(verdicts) else f"NOT A LATTICE{witness}")
     print(
         f"brute={brute} structural={structural} "
         f"classification={classified} agree={agree}"

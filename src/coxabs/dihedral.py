@@ -16,9 +16,10 @@ import dataclasses
 
 import numpy as np
 
+from . import rootsystem
 from .absorder import first_meet_failure
 from .parabolic import mask_from_indices
-from .rootsystem import format_type_multiset, make_label
+from .rootsystem import CapExceededError, format_type_multiset, make_label
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -161,10 +162,22 @@ class Dihedral:
     # -- intervals and the three lattice tests ----------------------------------
 
     def interval(self, u: DihedralElement):
-        """[1, u] for an involution u: elements, ranks, order matrix."""
+        """[1, u] for an involution u: elements, ranks, order matrix.
+
+        Raises CapExceededError, before listing any member, when the n x n
+        order matrix would pass TABLE_CAP_BYTES; below the half turn of
+        even m, n = m + 2.
+        """
         if not self.is_involution(u):
             raise ValueError("interval construction requires an involution top")
         kind = self.closure_kind(u)
+        n = {"trivial": 1, "axis": 2, "full": self.m + 2}[kind[0]]
+        cap = rootsystem.TABLE_CAP_BYTES
+        if n * n > cap:
+            raise CapExceededError(
+                f"the interval below {u.describe()} in I2({self.m}) has {n} "
+                f"elements, whose order matrix would pass the cap of {cap} bytes"
+            )
         if kind[0] == "trivial":
             members = [self.identity]
         elif kind[0] == "axis":
@@ -172,7 +185,6 @@ class Dihedral:
         else:
             members = self.involutions()
         members.sort(key=lambda x: (self.reflection_length(x), x))
-        n = len(members)
         ranks = np.array([self.reflection_length(x) for x in members], dtype=np.int16)
         leq = np.zeros((n, n), dtype=bool)
         for i in range(n):
@@ -209,27 +221,11 @@ class Dihedral:
             return True  # two commuting A1 components
         return is_good_type(make_label("I", 2, self.m))
 
-
-def dihedral_report(m: int) -> dict:
-    """Standard queries for I2(m) answered symbolically, with the three
-    lattice tests run on the interval below the longest element."""
-    group = Dihedral(m)
-    w0 = group.longest_element()
-    # w0 is central for even m and a reflection for odd m, an involution
-    # either way, so the interval below it always makes sense
-    members, _, _ = group.interval(w0)
-    brute, _ = group.lattice_bruteforce(w0)
-    structural, _ = group.lattice_structural(w0)
-    classified = group.lattice_by_classification(w0)
-    return {
-        "order": 2 * m,
-        "reflection_count": m,
-        "involution_count": len(group.involutions()),
-        "w0_is_central": m % 2 == 0,
-        "w0_reflection_length": group.reflection_length(w0),
-        "interval_size": len(members),
-        "is_lattice_bruteforce": brute,
-        "is_lattice_structural": structural,
-        "is_lattice_by_classification": classified,
-        "tests_agree": brute == structural == classified,
-    }
+    def verdicts(self, u: DihedralElement) -> tuple[bool, bool, bool]:
+        """The three lattice verdicts on [1, u], in the order (order
+        matrix, closure intersections, type table)."""
+        return (
+            self.lattice_bruteforce(u)[0],
+            self.lattice_structural(u)[0],
+            self.lattice_by_classification(u),
+        )

@@ -19,24 +19,20 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import inspect
 import random
 import time
 import traceback
 
 import numpy as np
 
-from .absorder import (
-    closure_map_report,
-    interval_of_involution,
-    is_lattice_bruteforce,
-    is_lattice_structural,
-)
+from .absorder import closure_map_report, interval_of_involution
 from .classify import (
     counterexample_witness,
     decompose_involution,
-    lattice_by_classification,
+    lattice_verdicts,
 )
-from .dihedral import dihedral_report
+from .dihedral import Dihedral
 from .element import (
     Element,
     check_T_reduced,
@@ -145,74 +141,89 @@ class CheckResult:
         }
 
 
-def _lattice_verdicts(u: Element) -> tuple[bool, bool, bool]:
-    """(order-matrix, closure-intersection, type-table) verdicts for u."""
-    brute, _ = is_lattice_bruteforce(interval_of_involution(u))
-    structural, _ = is_lattice_structural(u)
-    return brute, structural, lattice_by_classification(u)
+#: (name, check, whether it takes deep), one entry per check in run order
+ALL_CHECKS: list = []
 
 
-def check_lattice_positives() -> CheckResult:
+def _check(name: str):
+    """Register a check body returning (passed, lines) under name.
+
+    The registered function keeps the body's name and parameters and
+    returns a CheckResult timed around the body.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            start = time.perf_counter()
+            passed, lines = body(*args, **kwargs)
+            return CheckResult(name, passed, time.perf_counter() - start, lines)
+
+        takes_deep = "deep" in inspect.signature(body).parameters
+        ALL_CHECKS.append((name, check, takes_deep))
+        return check
+
+    return register
+
+
+def _involutions(name: str):
+    """Every involution of the named type, in search order."""
+    system = RootSystem.named(name)
+    full = Parabolic(system, (1 << system.n_pos) - 1)
+    return (u for u, _ in involutions_with_words(full))
+
+
+def _w0_verdicts(name: str) -> tuple[bool, bool, bool]:
+    """The three verdicts below the longest element of the named type."""
+    return lattice_verdicts(longest_element(RootSystem.named(name)))[0]
+
+
+@_check("lattice positives")
+def check_lattice_positives():
     """The listed maximal intervals are lattices by all three tests.
 
     Bond labels above 6 leave the supported coordinate field, so those
     dihedral groups run through the symbolic model; I2(4) and I2(6) run
     through both the geometric and the symbolic route and must agree.
     """
-    start = time.perf_counter()
     lines: list[str] = []
     ok = True
     for name in LATTICE_POSITIVE_TYPES:
         bond = int(name[3:-1]) if name.startswith("I2(") else None
+        if bond is not None:
+            group = Dihedral(bond)
+            mirrored = group.verdicts(group.longest_element())
         if bond is not None and bond > 6:
-            report = dihedral_report(bond)
-            verdicts = (
-                report["is_lattice_bruteforce"],
-                report["is_lattice_structural"],
-                report["is_lattice_by_classification"],
-            )
-            route = "symbolic"
+            verdicts, route = mirrored, "symbolic"
         else:
-            system = RootSystem.named(name)
-            verdicts = _lattice_verdicts(longest_element(system))
-            route = "geometric"
+            verdicts, route = _w0_verdicts(name), "geometric"
             if bond is not None:
-                mirror = dihedral_report(bond)
-                mirrored = (
-                    mirror["is_lattice_bruteforce"],
-                    mirror["is_lattice_structural"],
-                    mirror["is_lattice_by_classification"],
-                )
                 if mirrored != verdicts:
                     ok = False
                     lines.append(
                         f"{name}: symbolic route disagrees: {mirrored}"
                     )
                 route = "geometric+symbolic"
-        good = verdicts == (True, True, True)
-        ok = ok and good
+        ok = ok and all(verdicts)
         lines.append(
             f"{name} ({route}): brute={verdicts[0]} "
             f"structural={verdicts[1]} classification={verdicts[2]}"
         )
-    return CheckResult(
-        "lattice positives", ok, time.perf_counter() - start, lines
-    )
+    return ok, lines
 
 
-def check_lattice_negatives() -> CheckResult:
+@_check("lattice negatives and witnesses")
+def check_lattice_negatives():
     """D6, F4, H4 fail all three tests and carry the announced witnesses.
 
     The witness pair consists of two involutive parabolics whose
     intersection has the expected type and is not involutive, so the
     central involutions of the pair have no meet.
     """
-    start = time.perf_counter()
     lines: list[str] = []
     ok = True
     for name, expected in LATTICE_NEGATIVE_TYPES:
-        system = RootSystem.named(name)
-        verdicts = _lattice_verdicts(longest_element(system))
+        verdicts = _w0_verdicts(name)
         witness = counterexample_witness(name)
         got = format_type_multiset(witness.intersection.type_labels)
         good = (
@@ -227,22 +238,17 @@ def check_lattice_negatives() -> CheckResult:
             f"classification={verdicts[2]} witness intersection={got} "
             f"(expected {expected})"
         )
-    return CheckResult(
-        "lattice negatives and witnesses",
-        ok,
-        time.perf_counter() - start,
-        lines,
-    )
+    return ok, lines
 
 
-def check_e7_e8_witnesses() -> CheckResult:
+@_check("E7/E8 witnesses")
+def check_e7_e8_witnesses():
     """Root-level witness pairs in E7 and E8, no group enumeration.
 
     A D4 subsystem and its conjugate by an adjacent simple reflection
     intersect in a type A3 subsystem, which is not involutive; this
     settles both types with root arithmetic alone.
     """
-    start = time.perf_counter()
     lines: list[str] = []
     ok = True
     expected_pos = {"E7": 63, "E8": 120}
@@ -268,29 +274,25 @@ def check_e7_e8_witnesses() -> CheckResult:
             f"{name}: {system.n_pos} positive roots, pair of type "
             f"{p1_type}, intersection {got}, enumerated=no"
         )
-    return CheckResult(
-        "E7/E8 witnesses", ok, time.perf_counter() - start, lines
-    )
+    return ok, lines
 
 
-def check_classification_sweep(deep: bool = False) -> CheckResult:
+@_check("classification sweep")
+def check_classification_sweep(deep: bool = False):
     """Every involution of every sweep group gets all three verdicts.
 
     The type-table verdict must equal the closure-intersection verdict
     and the order-matrix verdict on every single involution; the sweep
     is exhaustive, not sampled.  deep adds E6.
     """
-    start = time.perf_counter()
     lines: list[str] = []
     ok = True
     for name in DEEP_SWEEP_TYPES if deep else SWEEP_TYPES:
-        system = RootSystem.named(name)
-        full = Parabolic(system, (1 << system.n_pos) - 1)
         count = 0
         lattices = 0
         disagreements = 0
-        for u, _ in involutions_with_words(full):
-            brute, structural, classified = _lattice_verdicts(u)
+        for u in _involutions(name):
+            (brute, structural, classified), _ = lattice_verdicts(u)
             count += 1
             lattices += int(classified)
             if not brute == structural == classified:
@@ -308,18 +310,16 @@ def check_classification_sweep(deep: bool = False) -> CheckResult:
         )
     if not deep:
         lines.append("E6 skipped (enable deep)")
-    return CheckResult(
-        "classification sweep", ok, time.perf_counter() - start, lines
-    )
+    return ok, lines
 
 
-def check_dyer_agreement() -> CheckResult:
+@_check("deletion oracle agreement")
+def check_dyer_agreement():
     """Deletion count equals fixed-space rank, element by element.
 
     Whole groups for A3, B3, H3; all elements with word length at most
     10 for A4, B4, D4, F4.  Exact equality, no sampling.
     """
-    start = time.perf_counter()
     lines: list[str] = []
     ok = True
     for name, cap in DYER_SCOPES:
@@ -343,9 +343,7 @@ def check_dyer_agreement() -> CheckResult:
             f"{name}: {checked} elements ({scope}), "
             f"{mismatches} mismatches"
         )
-    return CheckResult(
-        "deletion oracle agreement", ok, time.perf_counter() - start, lines
-    )
+    return ok, lines
 
 
 def _member_ids(parabolic: Parabolic, enum) -> frozenset:
@@ -513,13 +511,13 @@ def _order_law_failures(system: RootSystem) -> tuple[list[str], int]:
     return failures, n
 
 
-def check_order_laws(deep: bool = False) -> CheckResult:
+@_check("order structure laws")
+def check_order_laws(deep: bool = False):
     """Structure laws on every element of every small group.
 
     Exhaustive over the irreducible geometric types of order at most
     1152; deep adds all 14400 elements of H4.
     """
-    start = time.perf_counter()
     lines: list[str] = []
     ok = True
     groups = SMALL_GROUP_TYPES + (("H4",) if deep else ())
@@ -533,9 +531,7 @@ def check_order_laws(deep: bool = False) -> CheckResult:
         lines.append(f"{name}: {size} elements, {len(failures)} failures")
     if not deep:
         lines.append("H4 skipped (enable deep)")
-    return CheckResult(
-        "order structure laws", ok, time.perf_counter() - start, lines
-    )
+    return ok, lines
 
 
 def _interval_matches_oracle(u: Element) -> tuple[bool, str]:
@@ -569,21 +565,19 @@ def _interval_matches_oracle(u: Element) -> tuple[bool, str]:
     return True, f"{len(keys)} elements, {len(poset_edges)} covers"
 
 
-def check_interval_oracle(deep: bool = False) -> CheckResult:
+@_check("interval oracle identity")
+def check_interval_oracle(deep: bool = False):
     """The Cayley-graph oracle reproduces every interval poset exactly.
 
     Every involution of every small group; deep adds the longest element
     of H4, whose interval carries every involution of the group.
     """
-    start = time.perf_counter()
     lines: list[str] = []
     ok = True
     for name in SMALL_GROUP_TYPES:
-        system = RootSystem.named(name)
-        full = Parabolic(system, (1 << system.n_pos) - 1)
         checked = 0
         bad = 0
-        for u, _ in involutions_with_words(full):
+        for u in _involutions(name):
             same, _ = _interval_matches_oracle(u)
             checked += 1
             if not same:
@@ -601,16 +595,14 @@ def check_interval_oracle(deep: bool = False) -> CheckResult:
         lines.append(f"H4 w0: {detail}")
     else:
         lines.append("H4 w0 skipped (enable deep)")
-    return CheckResult(
-        "interval oracle identity", ok, time.perf_counter() - start, lines
-    )
+    return ok, lines
 
 
-def check_hurwitz_b2() -> CheckResult:
+@_check("B2 Hurwitz orbits")
+def check_hurwitz_b2():
     """The longest element of B2 has 4 minimal reflection factorizations
     falling into exactly 2 conjugation-move orbits, each orbit being the
     two orderings of one commuting pair."""
-    start = time.perf_counter()
     lines: list[str] = []
     system = RootSystem.named("B2")
     w0 = longest_element(system)
@@ -635,27 +627,23 @@ def check_hurwitz_b2() -> CheckResult:
             "{" + ", ".join(map(str, sorted(orbit))) + "}" for orbit in orbits
         )
     )
-    return CheckResult(
-        "B2 Hurwitz orbits", ok, time.perf_counter() - start, lines
-    )
+    return ok, lines
 
 
-def check_factor_product_law(deep: bool = False) -> CheckResult:
+@_check("factor product law")
+def check_factor_product_law(deep: bool = False):
     """Intervals multiply over the components of a reducible closure.
 
     For every involution u whose closure splits, u is the product of the
     component central involutions, their reflection lengths add to that
     of u, they commute, and the interval sizes multiply.
     """
-    start = time.perf_counter()
     lines: list[str] = []
     ok = True
     for name in DEEP_SWEEP_TYPES if deep else SWEEP_TYPES:
-        system = RootSystem.named(name)
-        full = Parabolic(system, (1 << system.n_pos) - 1)
         checked = 0
         bad = 0
-        for u, _ in involutions_with_words(full):
+        for u in _involutions(name):
             factorization = decompose_involution(u)
             if len(factorization.factors) < 2:
                 continue
@@ -681,9 +669,7 @@ def check_factor_product_law(deep: bool = False) -> CheckResult:
         )
     if not deep:
         lines.append("E6 skipped (enable deep)")
-    return CheckResult(
-        "factor product law", ok, time.perf_counter() - start, lines
-    )
+    return ok, lines
 
 
 def _random_scalar(rng: random.Random) -> FieldScalar:
@@ -693,16 +679,14 @@ def _random_scalar(rng: random.Random) -> FieldScalar:
     return a + b * PHI
 
 
-def check_field_kernel(
-    trials: int = FIELD_TRIALS, seed: int = FIELD_SEED
-) -> CheckResult:
+@_check("field kernel")
+def check_field_kernel(trials: int = FIELD_TRIALS, seed: int = FIELD_SEED):
     """Randomized exact-arithmetic consistency, fixed seed.
 
     Each trial draws field elements and asserts ring axioms, inverse
     round-trips, exact sign against the floating image, and order
     consistency.
     """
-    start = time.perf_counter()
     rng = random.Random(seed)
     bad = 0
     first = ""
@@ -734,23 +718,7 @@ def check_field_kernel(
     lines = [f"{trials} trials, {bad} failures"]
     if first:
         lines.append(first)
-    return CheckResult(
-        "field kernel", bad == 0, time.perf_counter() - start, lines
-    )
-
-
-ALL_CHECKS = (
-    ("lattice positives", check_lattice_positives, False),
-    ("lattice negatives and witnesses", check_lattice_negatives, False),
-    ("E7/E8 witnesses", check_e7_e8_witnesses, False),
-    ("classification sweep", check_classification_sweep, True),
-    ("deletion oracle agreement", check_dyer_agreement, False),
-    ("order structure laws", check_order_laws, True),
-    ("interval oracle identity", check_interval_oracle, True),
-    ("B2 Hurwitz orbits", check_hurwitz_b2, False),
-    ("factor product law", check_factor_product_law, True),
-    ("field kernel", check_field_kernel, False),
-)
+    return bad == 0, lines
 
 
 def run_all(deep: bool = False, only: str | None = None) -> list[CheckResult]:

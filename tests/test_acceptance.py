@@ -4,9 +4,16 @@ Each test drives one check from coxabs.verify, asserts it passed, and
 enforces the runtime bound it is documented to meet.  Failure output
 includes the per-item lines from the check so a regression points at
 the exact group and involution that broke.
+
+Each check's name and lines are pinned in tests/data/verify_golden.json.
+To record the file again from the current code, run
+
+    PYTHONPATH=src python tests/test_acceptance.py
 """
 
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +22,7 @@ from coxabs.cli import main
 from coxabs.element import longest_element
 from coxabs.rootsystem import RootSystem
 from coxabs.verify import (
+    ALL_CHECKS,
     FIELD_SEED,
     FIELD_TRIALS,
     check_classification_sweep,
@@ -27,7 +35,12 @@ from coxabs.verify import (
     check_lattice_negatives,
     check_lattice_positives,
     check_order_laws,
+    run_all,
 )
+
+GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
+# a missing file fails every assert_check
+EXPECTED_LINES = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
 
 
 def assert_check(result, budget_seconds):
@@ -36,6 +49,14 @@ def assert_check(result, budget_seconds):
     assert result.elapsed <= budget_seconds, (
         f"{result.name} took {result.elapsed:.1f}s, budget {budget_seconds}s"
     )
+    assert result.name in EXPECTED_LINES, f"{result.name!r} is not pinned"
+    assert result.lines == EXPECTED_LINES[result.name]
+
+
+def test_checks_are_registered_once_in_print_order():
+    names = [name for name, _, _ in ALL_CHECKS]
+    assert len(set(names)) == len(names)
+    assert names == list(EXPECTED_LINES)
 
 
 def test_lattice_holds_for_all_listed_positive_types():
@@ -122,3 +143,9 @@ def test_field_kernel_randomized_axioms():
     result = check_field_kernel(trials=FIELD_TRIALS, seed=FIELD_SEED)
     assert_check(result, 60)
     assert f"{FIELD_TRIALS} trials, 0 failures" in result.lines[0]
+
+
+if __name__ == "__main__":
+    # deep, with the default field trials and seed: the calls above
+    pinned = {r.name: r.lines for r in run_all(deep=True)}
+    GOLDEN.write_text(json.dumps(pinned, indent=1) + "\n")

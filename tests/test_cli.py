@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from coxabs import cli, rootsystem, verify
+from coxabs import classify, cli, rootsystem, verify
 from coxabs.cli import main
 
 
@@ -155,8 +155,26 @@ def test_lattice_symbolic(capsys):
     assert "LATTICE" in out
 
 
+def test_symbolic_build_reads_closed_forms(capsys):
+    code, out, _ = run(capsys, "build", "I2(1000000)")
+    assert code == 0
+    assert "group order: 2000000" in out.splitlines()
+    assert "w0 acts as -Id: yes" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv", [["lattice", "I2(40000)", "--w0"], ["classify", "I2(40000)"]]
+)
+def test_oversized_symbolic_interval_exits_2(capsys, argv):
+    # the 40 002 x 40 002 order matrix would take 1.6 GB
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "order matrix would pass the cap" in err
+
+
 def test_lattice_disagreement_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "lattice_by_classification", lambda u: False)
+    monkeypatch.setattr(classify, "lattice_by_classification", lambda u: False)
     code, out, _ = run(capsys, "lattice", "H3", "--w0")
     assert code == 1
     assert "classification=False agree=False" in out

@@ -2,9 +2,10 @@
 
 import pytest
 
-from coxabs.dihedral import Dihedral, dihedral_report
+from coxabs import rootsystem
+from coxabs.dihedral import Dihedral
 from coxabs.element import enumerate_group, longest_element
-from coxabs.rootsystem import RootSystem
+from coxabs.rootsystem import CapExceededError, RootSystem
 
 
 def test_group_law():
@@ -76,6 +77,18 @@ def test_odd_w0_is_a_reflection():
     assert len(members) == 2
 
 
+def test_oversized_interval_is_refused_before_listing(monkeypatch):
+    group = Dihedral(8)
+    half_turn = group.rotation(4)
+    monkeypatch.setattr(group, "involutions", lambda: pytest.fail("listed"))
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 99)  # 10 x 10 = 100
+    with pytest.raises(CapExceededError):
+        group.interval(half_turn)
+    monkeypatch.undo()
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 100)
+    assert len(group.interval(half_turn)[0]) == 10
+
+
 def test_closure_kinds():
     group = Dihedral(6)
     assert group.closure_kind(group.identity) == ("trivial",)
@@ -95,18 +108,19 @@ def test_intersect_kinds():
 
 
 @pytest.mark.parametrize("m", [7, 8, 10])
-def test_reports(m):
-    report = dihedral_report(m)
-    assert report["order"] == 2 * m
-    assert report["reflection_count"] == m
-    assert report["w0_is_central"] == (m % 2 == 0)
+def test_w0_facts(m):
+    group = Dihedral(m)
+    elements = group.all_elements()
+    assert len(elements) == 2 * m
+    assert sum(x.is_reflection for x in elements) == m
+    w0 = group.longest_element()
+    central = all(group.mul(w0, x) == group.mul(x, w0) for x in elements)
+    assert central == (m % 2 == 0)
     if m % 2 == 0:
-        assert report["interval_size"] == m + 2
-        assert report["w0_reflection_length"] == 2
-        assert report["is_lattice_bruteforce"]
-        assert report["is_lattice_structural"]
-        assert report["is_lattice_by_classification"]
-    assert report["tests_agree"]
+        members, _, _ = group.interval(w0)
+        assert len(members) == m + 2
+        assert group.reflection_length(w0) == 2
+    assert group.verdicts(w0) == (True, True, True)
 
 
 def test_lattice_tests_agree_on_every_involution():
