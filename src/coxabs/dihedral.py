@@ -161,8 +161,8 @@ class Dihedral:
 
     # -- intervals and the three lattice tests ----------------------------------
 
-    def interval(self, u: DihedralElement):
-        """[1, u] for an involution u: elements, ranks, order matrix.
+    def _members(self, u: DihedralElement) -> list[DihedralElement]:
+        """The elements of [1, u] for an involution u, in rank order.
 
         Raises CapExceededError, before listing any member, when the n x n
         order matrix would pass TABLE_CAP_BYTES; below the half turn of
@@ -185,11 +185,13 @@ class Dihedral:
         else:
             members = self.involutions()
         members.sort(key=lambda x: (self.reflection_length(x), x))
+        return members
+
+    def interval(self, u: DihedralElement):
+        """[1, u] for an involution u: elements, ranks, order matrix."""
+        members = self._members(u)
         ranks = np.array([self.reflection_length(x) for x in members], dtype=np.int16)
-        leq = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            for j in range(n):
-                leq[i, j] = self.leq_T(members[i], members[j])
+        leq = np.array([[self.leq_T(a, b) for b in members] for a in members])
         return members, ranks, leq
 
     def lattice_bruteforce(self, u: DihedralElement):
@@ -202,8 +204,7 @@ class Dihedral:
         return False, (members[failure[0]], members[failure[1]])
 
     def lattice_structural(self, u: DihedralElement):
-        members, _, _ = self.interval(u)
-        kinds = [self.closure_kind(x) for x in members]
+        kinds = [self.closure_kind(x) for x in self._members(u)]
         for j in range(len(kinds)):
             for i in range(j):
                 inter = self.intersect_kinds(kinds[i], kinds[j])

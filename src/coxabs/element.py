@@ -20,8 +20,9 @@ tests and verify compare against.
 longest_element is the cached one of the full Parabolic.  It, the l_T
 memo and the group table live as long as their RootSystem.
 enumerate_group lists the whole group in one preallocated int32 table of
-group_order rows; a group whose table, words and keys would pass
-TABLE_CAP_BYTES is refused from its order, before anything is allocated.
+group_order rows, one word length at a time, in breadth-first order; a
+group whose table, words and keys would pass TABLE_CAP_BYTES is refused
+from its order, before anything is allocated.
 """
 
 from __future__ import annotations
@@ -291,6 +292,11 @@ def void_rows(rows: np.ndarray) -> np.ndarray:
 def enumerate_group(system: RootSystem) -> GroupEnumeration:
     """Enumerate the whole group into one table of system.group_order rows.
 
+    It is filled a word length at a time from the ascents w * s of the
+    last level, those with w(a_s) > 0: exactly then is w * s one longer
+    than w, so never an earlier element.  Kept at first occurrence in
+    parent-major order, they get the ids and words of a breadth-first walk.
+
     Raises CapExceededError, before allocating, when the table and words
     would pass TABLE_CAP_BYTES, and RecognitionError unless the walk finds
     exactly group_order elements.
@@ -307,34 +313,37 @@ def enumerate_group(system: RootSystem) -> GroupEnumeration:
             f"the group of {system.describe()} has {order} elements, whose "
             f"table and words of {size} bytes would pass the cap of {cap} bytes"
         )
-    simple = system.simple_idx
-    simple_perms = [system.reflection_table[t] for t in simple]
-    simple_images = [sp[simple] for sp in simple_perms]
+    simple, n_pos = system.simple_idx, system.n_pos
+    simple_perms = system.reflection_table[simple]
+    simple_images = simple_perms[:, simple]  # row s: s at the simple roots
     perms = np.empty((order, n_roots), dtype=np.int32)
     perms[0] = np.arange(n_roots)
-    words: list[tuple[int, ...]] = [()]
+    words: list[tuple[int, ...]] = [()] * order
     index = {perms[0][simple].tobytes(): 0}
-    head = 0
-    while head < len(words):  # perms[:len(words)] is filled
-        cur = perms[head]
-        cur_word = words[head]
-        for s, (sp, images) in enumerate(zip(simple_perms, simple_images)):
-            key = cur[images].tobytes()  # cur * s at the simple roots
-            if key not in index:
-                count = len(words)
-                if count == order:
-                    raise RecognitionError(
-                        f"the group of {system.describe()} has more than "
-                        f"{order} elements"
-                    )
-                index[key] = count
-                perms[count] = cur[sp]
-                words.append(cur_word + (s,))
-        head += 1
-    if len(words) != order:
+    lo, hi = 0, 1  # perms[lo:hi] is the last filled level
+    while lo < hi:
+        level = perms[lo:hi]
+        parents, gens = np.nonzero(level[:, simple] < n_pos)
+        keys = void_rows(level[parents[:, None], simple_images[gens]])
+        first = np.unique(keys, return_index=True)[1]
+        first.sort()  # first occurrences in breadth-first order
+        count = hi + len(first)
+        if count > order:
+            raise RecognitionError(
+                f"the group of {system.describe()} has more than {order} elements"
+            )
+        parents, gens = parents[first], gens[first]
+        for s, sp in enumerate(simple_perms):  # per generator: less peak RSS
+            at = np.flatnonzero(gens == s)
+            perms[hi + at] = level[np.ix_(parents[at], sp)]
+        words[hi:count] = [
+            words[lo + p] + (s,) for p, s in zip(parents.tolist(), gens.tolist())
+        ]
+        index.update(zip(keys[first].tolist(), range(hi, count)))
+        lo, hi = hi, count
+    if hi != order:
         raise RecognitionError(
-            f"the group of {system.describe()} has {len(words)} elements, "
-            f"not {order}"
+            f"the group of {system.describe()} has {hi} elements, not {order}"
         )
     enum = GroupEnumeration(system, perms, words, index)
     system._group = enum

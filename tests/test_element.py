@@ -19,7 +19,12 @@ from coxabs.element import (
     simple_reflection,
 )
 from coxabs.field import ONE, PHI, ZERO
-from coxabs.rootsystem import CoxeterMatrix, RootSystem, named_coxeter_matrix
+from coxabs.rootsystem import (
+    CoxeterMatrix,
+    RecognitionError,
+    RootSystem,
+    named_coxeter_matrix,
+)
 
 GROUP_ORDERS = [
     ("A2", 6),
@@ -74,10 +79,11 @@ def reference_enumeration(system):
 
 
 @pytest.mark.parametrize(
-    "name", [name for name, _ in GROUP_ORDERS] + ["B5", "D6", "F4", "H4", "E6"]
+    "name",
+    [name for name, _ in GROUP_ORDERS] + ["A1", "B5", "D6", "F4", "H4", "E6", "b2xa1"],
 )
 def test_group_table_matches_the_reference(name):
-    system = RootSystem.named(name)
+    system = b2xa1_system() if name == "b2xa1" else RootSystem.named(name)
     enum = enumerate_group(system)
     perms, words, index = reference_enumeration(system)
     assert enum.perms.dtype == np.int32
@@ -271,6 +277,19 @@ def test_oversized_group_table_is_refused(monkeypatch):
     assert system._group is None
     monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 6240)
     assert enumerate_group(system).perms.nbytes == 1152
+
+
+@pytest.mark.parametrize(
+    "shift, message", [(-1, "has more than 47 elements"), (1, "has 48 elements, not 49")]
+)
+def test_wrong_group_order_is_refused(shift, message, monkeypatch):
+    # B3 has 48 elements: the walk finds one too many, or one too few
+    system = RootSystem.named("B3")
+    monkeypatch.setattr(system, "_group", None)
+    monkeypatch.setattr(system, "group_order", 48 + shift)
+    with pytest.raises(RecognitionError, match=message):
+        enumerate_group(system)
+    assert system._group is None
 
 
 @pytest.mark.parametrize("name, admitted", [("D7", True), ("A8", True), ("B7", False)])
