@@ -12,10 +12,13 @@ Two exact length functions live here.  The word length l_S(w) counts the
 positive roots sent negative.  The reflection length l_T(w) is computed
 from the geometric action: it equals rank(M_w - Id), the codimension of
 the fixed space, and is memoized per system.  It is the Bareiss rank of
-moved_rows(), the vectors w(a_j) - a_j on plain ints (RootSystem.int_rows),
-whose echelon and its annihilator give parabolic_closure.  The
-FieldScalar matrix, fixed space and moved space are the reference the
-tests and verify compare against.
+moved_rows(), the int_rows of w(a_j) - a_j packed one Python int per row
+(linalg.PackedRows): one subtraction of two rows of RootSystem.packed_roots,
+a table built on the first l_T, not with the system, whose one field width
+(packed_bits) holds every minor of such rows by Hadamard's bound.  Their
+echelon and its annihilator give parabolic_closure.  The FieldScalar
+matrix, fixed space and moved space are the reference the tests and
+verify compare against.
 
 longest_element is the cached one of the full Parabolic.  It, the l_T
 memo and the group table live as long as their RootSystem.
@@ -87,9 +90,6 @@ class Element:
 
     # -- root actions ------------------------------------------------------
 
-    def image_of_simple(self, s: int) -> int:
-        return int(self.perm[self.system.simple_idx[s]])
-
     def inversion_set(self) -> list[int]:
         """Positive root indices t with w^-1(root_t) negative."""
         n_pos = self.system.n_pos
@@ -134,16 +134,19 @@ class Element:
         cols = [[m[i][j] for i in range(len(m))] for j in range(len(m))]
         return Subspace.from_vectors(cols, self.system.rank)
 
-    def moved_rows(self) -> list[list[int]]:
-        """The int_rows of w(a_j) - a_j for every simple root a_j; over Q
-        they span the moved space Im(M_w - Id), on {1, phi} if phi is used."""
-        rows = self.system.int_rows
-        simple = self.system.simple_idx
-        return [
-            [a - b for a, b in zip(image_row, simple_row)]
-            for i, s in zip(self.perm[simple].tolist(), simple.tolist())
-            for image_row, simple_row in zip(rows[i], rows[s])
+    def moved_rows(self) -> linalg.PackedRows:
+        """The int_rows of w(a_j) - a_j for every simple root a_j, packed,
+        rows 0 first; over Q they span the moved space Im(M_w - Id), on
+        {1, phi} if phi is used."""
+        sys = self.system
+        n_pos, simple = sys.n_pos, sys.simple_idx
+        images, simple = self.perm[simple].tolist(), simple.tolist()
+        rows = [
+            column[i] - column[s] if i < n_pos else -column[i - n_pos] - column[s]
+            for column in sys.packed_roots
+            for i, s in zip(images, simple)
         ]
+        return linalg.PackedRows(rows, sys.packed_bits, sys.rank * sys.int_degree)
 
     def reflection_length(self) -> int:
         """l_T(w) = rank(M_w - Id), memoized per system.
@@ -209,8 +212,8 @@ def check_T_reduced(system: RootSystem, reflection_indices) -> bool:
     idx = list(reflection_indices)
     if len(idx) > system.rank:
         return False
-    rows = [row for t in idx for row in system.int_rows[t]]
-    return linalg.rank_rational(rows) == len(rows)
+    packed = system.packed_rows(idx)
+    return linalg.rank_rational(packed) == len(packed.rows)
 
 
 # ----------------------------------------------------------------------
@@ -223,16 +226,13 @@ class GroupEnumeration:
     Elements are discovered breadth first over right multiplication by
     the simple generators, so ids are sorted by word length and the
     identity has id 0.  words[i] is a reduced word for element i, and
-    index maps Element.key() to the id.
+    ids_of_images looks elements up by their keys.
     """
 
-    def __init__(
-        self, system: RootSystem, perms: np.ndarray, words: list, index: dict
-    ):
+    def __init__(self, system: RootSystem, perms: np.ndarray, words: list):
         self.system = system
         self.perms = perms
         self.words = words
-        self.index = index
 
     @property
     def size(self) -> int:
@@ -240,9 +240,6 @@ class GroupEnumeration:
 
     def element(self, i: int) -> Element:
         return Element(self.system, self.perms[i])
-
-    def id_of(self, elt: Element) -> int:
-        return self.index[elt.key()]
 
     @cached_property
     def sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
@@ -305,7 +302,8 @@ def enumerate_group(system: RootSystem) -> GroupEnumeration:
         return system._group
     order, n_roots = system.group_order, system.n_roots
     # per element: the int32 row, a word of n_pos / 2 letters on average
-    # (8 bytes each), a key of 4 * rank bytes and ~176 bytes of overhead
+    # (8 bytes each), a sorted key of 4 * rank bytes and 176 bytes more:
+    # about 56 for the word's tuple and list slot and the key's id, and margin
     size = order * (4 * n_roots + 4 * system.n_pos + 4 * system.rank + 176)
     cap = rootsystem.TABLE_CAP_BYTES
     if size > cap:
@@ -319,7 +317,6 @@ def enumerate_group(system: RootSystem) -> GroupEnumeration:
     perms = np.empty((order, n_roots), dtype=np.int32)
     perms[0] = np.arange(n_roots)
     words: list[tuple[int, ...]] = [()] * order
-    index = {perms[0][simple].tobytes(): 0}
     lo, hi = 0, 1  # perms[lo:hi] is the last filled level
     while lo < hi:
         level = perms[lo:hi]
@@ -339,12 +336,11 @@ def enumerate_group(system: RootSystem) -> GroupEnumeration:
         words[hi:count] = [
             words[lo + p] + (s,) for p, s in zip(parents.tolist(), gens.tolist())
         ]
-        index.update(zip(keys[first].tolist(), range(hi, count)))
         lo, hi = hi, count
     if hi != order:
         raise RecognitionError(
             f"the group of {system.describe()} has {hi} elements, not {order}"
         )
-    enum = GroupEnumeration(system, perms, words, index)
+    enum = GroupEnumeration(system, perms, words)
     system._group = enum
     return enum

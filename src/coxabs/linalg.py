@@ -1,12 +1,13 @@
-"""Exact linear algebra: an integer Bareiss echelon and a Q(phi) reference.
+"""Exact linear algebra: a packed-row integer Bareiss and a Q(phi) reference.
 
 Production ranks and spans run on plain ints: echelon() is Bareiss
-elimination over Q, rank_rational() counts its rows and annihilator()
-gives an integer basis of their null space; roots enter as
-RootSystem.int_rows.  The FieldScalar rank, rref, kernel and Subspace
-work over Q(phi), fraction free with one normalization pass at the end,
-and are the reference the tests and verify compare against.  A Subspace
-is kept in reduced row echelon form, so equality is a tuple comparison.
+elimination over Q on rows packed one Python int each (PackedRows), in
+signed fields of one width from Hadamard's bound; rank_rational() counts
+its pivots and annihilator() gives an integer basis of their null space.
+The FieldScalar rank, rref, kernel and Subspace work over Q(phi),
+fraction free with one normalization pass at the end, and are the
+reference the tests and verify compare against.  A Subspace is kept in
+reduced row echelon form, so equality is a tuple comparison.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+from typing import NamedTuple
 
 from .field import FieldScalar, ZERO, ONE
 
@@ -144,56 +146,106 @@ def is_positive_definite(gram) -> bool:
     return True
 
 
-def _integer_row(row) -> list[int]:
-    """The row scaled by the lcm of its denominators, as Python ints."""
-    den = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row]
+class PackedRows(NamedTuple):
+    """Integer rows, one Python int each (pack_row), in fields of a width
+    bits that holds every minor of the matrix (hadamard_bits)."""
+
+    rows: list[int]
+    bits: int
+    ncols: int
+
+
+def hadamard_bits(nrows: int, ncols: int, largest: int) -> int:
+    """A field width for every minor of an nrows x ncols matrix of ints of
+    absolute value at most largest: 2 ** ceil(L / 2) passes Hadamard's bound
+    (sqrt(ncols) * largest) ** min(nrows, ncols), L the bit length of its
+    square; add a sign bit and one of headroom."""
+    square = (ncols * largest * largest) ** min(nrows, ncols)
+    return (square.bit_length() + 1) // 2 + 2
+
+
+def pack_row(row, bits: int) -> int:
+    """Sum of row[k] * 2 ** (bits * k): signed fields, column 0 lowest.
+    Packing is linear while the entries fit their fields."""
+    return sum(x << bits * k for k, x in enumerate(row) if x)
+
+
+def _packed(matrix) -> PackedRows:
+    """PackedRows as they are; a matrix of ints or rationals scaled to
+    integers row by row, at the width its own entries need."""
+    if isinstance(matrix, PackedRows):
+        return matrix
+    rows = []
+    for row in matrix:
+        # a row of ints sums to an int, a Fraction anywhere makes the sum one
+        den = 1 if type(sum(row)) is int else math.lcm(*(x.denominator for x in row))
+        rows.append([int(x * den) for x in row])
+    ncols = len(rows[0]) if rows else 0
+    largest = max((abs(x) for row in rows for x in row), default=0)
+    bits = hadamard_bits(len(rows), ncols, largest)
+    return PackedRows([pack_row(row, bits) for row in rows], bits, ncols)
+
+
+def _pivot_rows(packed: PackedRows) -> list[tuple[int, int]]:
+    """Bareiss elimination on packed rows: (column, row) per pivot, the
+    row packed from its pivot column on.  The pivot column is always the
+    lowest field: every row left shifts down one field after a pivot, and
+    every row when a column has none."""
+    rows = [row for row in packed.rows if row]
+    bits = packed.bits
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    out, prev = [], 1
+    for col in range(packed.ncols):
+        for i, top in enumerate(rows):
+            if top & mask:
+                break
+        else:
+            rows = [row >> bits for row in rows]
+            continue
+        rows[i] = rows[0]  # the swap; the rows left are rows[1:]
+        p = ((top + half) & mask) - half
+        step = prev << bits  # divide by prev and shift in one step
+        rows = [
+            (p * row - (((row + half) & mask) - half) * top) // step
+            for row in rows[1:]
+        ]
+        out.append((col, top))
+        prev = p
+    return out
 
 
 def echelon(matrix) -> list[list[int]]:
-    """Row echelon form over Q of a matrix of ints or rationals, on ints.
+    """Row echelon form over Q, on ints, of a matrix of ints or rationals
+    or of PackedRows: the nonzero rows, each with its first nonzero entry
+    in its own pivot column.
 
-    Bareiss elimination (Math. Comp. 22, 1968) on Python ints: each row is
-    first scaled to integers, and every update divides exactly by the
-    previous pivot, so the entries stay minors of the input and never need
-    a gcd.  Rows with a zero in the pivot column are still rescaled by
-    p / prev, which keeps the later divisions exact.  Returns the nonzero
-    rows, each with its first nonzero entry in its own pivot column.
+    Bareiss elimination (Math. Comp. 22, 1968): the update of a whole row
+    (p * R - f * T) // prev is exact, each field being divisible by prev,
+    and leaves minors of the input, which the width holds, so p and f
+    decode exactly.  A factor f = 0 still rescales the row, for the later
+    divisions.  Zero input rows are dropped and rows that become zero
+    stay, so the swaps and rows are those of the elimination on lists.
     """
-    # a row of ints sums to an int, a Fraction anywhere makes the sum one
-    rows = [row if type(sum(row)) is int else _integer_row(row) for row in matrix]
-    rows = [row for row in rows if any(row)]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    prev = 1
-    r = 0
-    for col in range(ncols):
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                break
-        else:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
-        top = rows[r]
-        p = top[col]
-        for i in range(r + 1, len(rows)):
-            row = rows[i]
-            f = row[col]
-            if f:
-                rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
-            elif p != prev:
-                rows[i] = [p * a // prev for a in row]
-        prev = p
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r]
+    packed = _packed(matrix)
+    bits, ncols = packed.bits, packed.ncols
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    out = []
+    for col, row in _pivot_rows(packed):
+        entries = [0] * col
+        for _ in range(col, ncols):
+            x = row & mask
+            if x >= half:
+                x -= mask + 1
+            entries.append(x)
+            row = (row - x) >> bits
+        out.append(entries)
+    return out
 
 
 def rank_rational(matrix) -> int:
-    """Exact rank of a matrix of ints or rationals, over Q."""
-    return len(echelon(matrix))
+    """Exact rank over Q of a matrix of ints or rationals, or of
+    PackedRows: the number of pivots, never unpacked."""
+    return len(_pivot_rows(_packed(matrix)))
 
 
 def annihilator(basis, ncols: int) -> list[list[int]]:

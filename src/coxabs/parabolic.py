@@ -79,7 +79,7 @@ class Parabolic:
 
     def __repr__(self) -> str:
         types = rootsystem.format_type_multiset(self.type_labels)
-        return f"Parabolic({types}, {self.rank} roots span)"
+        return f"Parabolic({types}, {len(self.simple_system)} roots span)"
 
     @cached_property
     def root_indices(self) -> tuple[int, ...]:
@@ -209,7 +209,8 @@ INT64_DOT_BOUND = 2**63
 
 
 def _roots_in_row_span(system: RootSystem, rows) -> int:
-    """Mask of the positive roots in the span over Q of int_rows rows.
+    """Mask of the positive roots in the span over Q of int_rows rows,
+    packed (RootSystem.packed_rows).
 
     That span is a Q(phi)-span written on {1, phi}, so it is closed under
     multiplication by phi: a root lies in it exactly when its row 0 does,
@@ -231,8 +232,7 @@ def closure_of_roots(system: RootSystem, indices) -> Parabolic:
 
     Takes all positive roots inside the linear span of the inputs.
     """
-    rows = [row for i in indices for row in system.int_rows[i]]
-    return Parabolic(system, _roots_in_row_span(system, rows))
+    return Parabolic(system, _roots_in_row_span(system, system.packed_rows(indices)))
 
 
 def standard_parabolic(system: RootSystem, generators) -> Parabolic:

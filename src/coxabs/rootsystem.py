@@ -411,7 +411,8 @@ class RootSystem:
     components), simple_idx, reflection_table (row t permutes all
     root indices as the reflection along positive root t does), the
     orthogonality and bond_between read off that table, and int_rows, the
-    input of the exact integer rank: root i as int_degree rows.  With
+    input of the exact integer rank (packed on first use as packed_roots):
+    root i as int_degree rows.  With
     every coordinate in Z a root is its own row (degree 1); otherwise it
     gives the rows x and phi*x on the basis {1, phi}, a coordinate a + b*phi
     putting [a, b] in the first and [b, a + b] in the second (degree 2,
@@ -601,6 +602,32 @@ class RootSystem:
         ]
         scalar = {p: FieldScalar(tuple(map(Fraction, p))) for r in pairs for p in r}
         return tuple(tuple(scalar[p] for p in r) for r in pairs)
+
+    @cached_property
+    def packed_bits(self) -> int:
+        """The field width of packed_roots and of the moved rows, whose
+        entries are at most twice the largest |int_rows entry|."""
+        ncols = self.rank * self.int_degree
+        largest = max(abs(x) for rows in self.int_rows for row in rows for x in row)
+        return linalg.hadamard_bits(ncols, ncols, 2 * largest)
+
+    @cached_property
+    def packed_roots(self) -> tuple:
+        """packed_roots[k][t]: row k of int_rows[t] packed, t positive.  Built
+        on first use, not in __init__: A107 packs 5 778 rows of 107 fields."""
+        bits, rows = self.packed_bits, self.int_rows[: self.n_pos]
+        return tuple(
+            tuple(linalg.pack_row(r[k], bits) for r in rows)
+            for k in range(self.int_degree)
+        )
+
+    def packed_rows(self, indices) -> linalg.PackedRows:
+        """The int_rows of the roots at indices, positive or negative, packed."""
+        n_pos, table = self.n_pos, self.packed_roots
+        rows = [
+            col[t] if t < n_pos else -col[t - n_pos] for t in indices for col in table
+        ]
+        return linalg.PackedRows(rows, self.packed_bits, self.rank * self.int_degree)
 
     @cached_property
     def gram(self) -> tuple:

@@ -424,11 +424,12 @@ def _order_law_failures(system: RootSystem) -> tuple[list[str], int]:
             )
 
     w0 = longest_element(system)
-    w0_id = enum.id_of(w0)
+    w0_id = int(enum.ids_of_images(w0.perm[None, simple])[0])
+    t_w0_ids = enum.ids_of_images(system.reflection_table[:, w0.perm[simple]])
     for t in range(n_pos):
         t_w0 = system.reflection_table[t][w0.perm]
         w0_t = w0.perm[system.reflection_table[t]]
-        below = 1 + ell[enum.id_of(Element(system, t_w0))] == ell[w0_id]
+        below = 1 + ell[t_w0_ids[t]] == ell[w0_id]
         if below != bool((t_w0 == w0_t).all()):
             failures.append(f"reflection {t} vs w0: order/commutation")
 

@@ -89,11 +89,10 @@ def test_group_table_matches_the_reference(name):
     assert enum.perms.dtype == np.int32
     assert np.array_equal(enum.perms, perms)
     assert enum.words == words
-    assert len(enum.index) == len(index) == enum.size
-    assert all(
-        enum.id_of(enum.element(i)) == index[perms[i].tobytes()] == i
-        for i in range(enum.size)
-    )
+    assert len(index) == enum.size
+    ids = enum.ids_of_images(enum.perms[:, system.simple_idx])
+    expected = [index[row.tobytes()] for row in perms]
+    assert ids.tolist() == expected == list(range(enum.size))
 
 
 def test_identity_and_generator_relations():
@@ -246,7 +245,7 @@ def test_enumeration_index_and_inverses():
     inv = enum.inverse_ids
     for i in range(enum.size):
         w = enum.element(i)
-        assert enum.id_of(w) == i
+        assert enum.ids_of_images(w.perm[None, system.simple_idx])[0] == i
         assert enum.element(int(inv[i])) == w.inverse()
     # words are S-reduced
     for i in range(enum.size):
@@ -336,14 +335,59 @@ def test_ids_of_images_equals_the_dict_lookup(name):
     enum = enumerate_group(system)
     simple = system.simple_idx
     assert np.array_equal(enum.ids_of_images(enum.perms[:, simple]), np.arange(enum.size))
+    # the reference: a dict from each element's key to its id
+    index = {row.tobytes(): i for i, row in enumerate(enum.perms[:, simple])}
     # every element times every simple reflection, and every inverse
     images = [enum.perms[:, system.reflection_table[t][simple]] for t in simple]
     images.append(np.argsort(enum.perms, axis=1)[:, simple])
     for rows in images:
-        expected = [enum.index[row.astype(np.int32).tobytes()] for row in rows]
+        expected = [index[row.astype(np.int32).tobytes()] for row in rows]
         assert enum.ids_of_images(rows).tolist() == expected
     missing = enum.perms[:2, simple].copy()
     missing[1] = missing[1][::-1]  # reversed images are no element's
-    assert missing[1].tobytes() not in enum.index
+    assert missing[1].tobytes() not in index
     with pytest.raises(KeyError):
         enum.ids_of_images(missing)
+
+
+@pytest.mark.parametrize(
+    "name, count",
+    [("H3", 0), ("F4", 0), ("B4", 0), ("H4", 300), ("E6", 300), ("E8", 150)],
+)
+def test_packed_reflection_length_equals_the_fieldscalar_rank(name, count):
+    # every element of the small groups, seeded random words in the large
+    system = RootSystem.named(name)
+    if count:
+        rng = np.random.default_rng(17)
+        lengths = rng.integers(0, 2 * system.n_pos, count)
+        elements = [from_word(system, rng.integers(0, system.rank, k)) for k in lengths]
+    else:
+        enum = enumerate_group(system)
+        elements = [enum.element(i) for i in range(enum.size)]
+    packed = [
+        linalg.rank_rational(w.moved_rows()) // system.int_degree for w in elements
+    ]
+    reference = [linalg.rank(w._matrix_minus_id()) for w in elements]
+    assert packed == reference == [w.reflection_length() for w in elements]
+    assert set(reference) == set(range(system.rank + 1))  # every length occurs
+
+
+def test_packed_root_table_is_built_once_on_the_first_reflection_length(monkeypatch):
+    system = RootSystem(named_coxeter_matrix("B4"))  # w0 = -Id, the last id
+    enum = enumerate_group(system)
+    assert "packed_roots" not in system.__dict__
+    packs = []
+    inner = linalg.pack_row
+
+    def counting(row, bits):
+        packs.append(1)
+        return inner(row, bits)
+
+    monkeypatch.setattr(linalg, "pack_row", counting)
+    assert enum.element(enum.size - 1).reflection_length() == system.rank
+    table = system.__dict__["packed_roots"]
+    assert len(packs) == system.n_pos * system.int_degree
+    lengths = enum.reflection_lengths
+    assert lengths.max() == system.rank
+    assert system.packed_roots is table
+    assert len(packs) == system.n_pos * system.int_degree

@@ -1,10 +1,20 @@
-"""Exact linear algebra over Q(phi)."""
+"""Exact linear algebra: the packed integer Bareiss and the Q(phi) reference."""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
 
 from coxabs.field import HALF, ONE, PHI, ZERO, FieldScalar
 from coxabs.linalg import (
+    PackedRows,
     Subspace,
+    echelon,
+    hadamard_bits,
     is_positive_definite,
     kernel,
+    pack_row,
     rank,
     rank_rational,
     rref,
@@ -117,3 +127,117 @@ def test_subspace_irrational_line():
     assert line.contains([PHI, PHI + ONE])
     assert not line.contains([PHI, PHI + HALF])
     assert not line.contains([rational(610), rational(987)])
+
+
+def reference_echelon(matrix) -> list[list[int]]:
+    """Bareiss elimination on lists of Python ints, one update per entry:
+    the packed echelon's reference, row for row."""
+    rows = []
+    for row in matrix:
+        den = math.lcm(*(Fraction(x).denominator for x in row))
+        rows.append([int(Fraction(x) * den) for x in row])
+    rows = [row for row in rows if any(row)]
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    prev = 1
+    r = 0
+    for col in range(ncols):
+        for i in range(r, len(rows)):
+            if rows[i][col]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        top = rows[r]
+        p = top[col]
+        for i in range(r + 1, len(rows)):
+            row = rows[i]
+            f = row[col]
+            if f:
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+            elif p != prev:
+                rows[i] = [p * a // prev for a in row]
+        prev = p
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r]
+
+
+def seeded_matrix(rng: random.Random) -> list[list]:
+    """A small matrix of ints (some past 2**63) or Fractions, of low rank
+    at times, with zero and duplicate rows mixed in."""
+    nrows, ncols = rng.randint(0, 9), rng.randint(1, 7)
+    top = rng.choice([1, 3, 50, 2**70])
+    kind = rng.choice(["int", "fraction", "low rank"])
+
+    def entry():
+        x = rng.randint(-top, top) if rng.random() < 0.7 else 0
+        return Fraction(x, rng.randint(1, 12)) if kind == "fraction" else x
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "low rank" and rows:
+        basis = rows[: rng.randint(1, 3)]
+        rows = [
+            [sum(rng.randint(-2, 2) * b[k] for b in basis) for k in range(ncols)]
+            for _ in range(nrows)
+        ]
+    for _ in range(rng.randint(0, 2)):
+        if rows and rng.random() < 0.5:
+            rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
+        else:
+            rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+    return rows
+
+
+def test_echelon_equals_the_list_bareiss_row_for_row():
+    rng = random.Random(20240)
+    shapes = set()
+    for _ in range(3000):
+        matrix = seeded_matrix(rng)
+        expected = reference_echelon(matrix)
+        assert echelon(matrix) == expected, matrix
+        assert rank_rational(matrix) == len(expected)
+        if matrix:
+            shapes.add(len(matrix) > len(matrix[0]))
+    assert shapes == {True, False}  # more rows than columns, and fewer
+    assert echelon([]) == []
+    assert echelon([[0, 0], [0, 0]]) == [] and rank_rational([[0, 0]]) == 0
+
+
+def test_echelon_keeps_entries_past_64_bits():
+    big = 2**64 + 13
+    matrix = [[big, 1, 0], [big, 1, 0], [0, 0, 0], [1, big, -big], [3, 2, 1]]
+    assert echelon(matrix) == reference_echelon(matrix)
+    assert rank_rational(matrix) == 3
+
+
+def test_packed_rows_give_the_list_echelon():
+    matrix = [[2, -1, 0, 5], [0, 0, 3, -3], [4, -2, 3, 7], [-1, 0, 0, 1]]
+    bits = hadamard_bits(4, 4, 7)
+    packed = PackedRows([pack_row(row, bits) for row in matrix], bits, 4)
+    assert echelon(packed) == echelon(matrix) == reference_echelon(matrix)
+    assert rank_rational(packed) == 3
+
+
+def sylvester(order: int) -> list[list[int]]:
+    """The Sylvester +-1 Hadamard matrix of a power-of-two order."""
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+@pytest.mark.parametrize("order", [8, 16])
+def test_width_holds_the_hadamard_extreme(order):
+    # |det| = order ** (order / 2) reaches Hadamard's bound, and Bareiss
+    # leaves the determinant as the last pivot
+    sympy = pytest.importorskip("sympy")
+    h = sylvester(order)
+    rows = echelon(h)
+    assert len(rows) == rank_rational(h) == sympy.Matrix(h).rank() == order
+    assert abs(rows[-1][-1]) == order ** (order // 2)
+    assert rows == reference_echelon(h)
+    # a row of the matrix appended twice leaves the rank
+    assert rank_rational(h + h[:2]) == sympy.Matrix(h + h[:2]).rank() == order

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from coxabs import linalg, parabolic
+from coxabs import linalg, parabolic, rootsystem
 from coxabs.absorder import is_lattice_structural
 from coxabs.classify import lattice_by_classification
 from coxabs.element import (
@@ -436,3 +436,10 @@ def test_simple_system_keeps_its_roots_positive(name):
         )
         assert p.simple_system == expected
         assert len(expected) == p.rank
+
+
+def test_repr_counts_the_simple_system_as_the_span_rank():
+    system = RootSystem.named("H3")
+    for p in all_subparabolics(closure_of_roots(system, range(system.n_pos))):
+        types = rootsystem.format_type_multiset(p.type_labels)
+        assert repr(p) == f"Parabolic({types}, {p.rank} roots span)"

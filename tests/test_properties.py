@@ -20,7 +20,7 @@ def reduced_prefix(system, letters):
     w = identity(system)
     for s in letters:
         s %= system.rank
-        if w.image_of_simple(s) < n_pos:  # s is not a right descent of w
+        if w.perm[system.simple_idx[s]] < n_pos:  # s is not a right descent of w
             w = w * from_word(system, [s])
             word.append(s)
     return word
