@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -52,15 +53,16 @@ def leq_T(u: Element, v: Element) -> bool:
 class IntervalPoset:
     """The interval [1, top] in the absolute order, fully materialized.
 
-    elements[i] is an involution, words[i] one minimal reflection word
-    for it and ranks[i] its reflection length; ids run in rank order.
-    down[i] is the down-set of element i as a bitset (bit k set when
-    element k lies below it), hasse lists the covering pairs (lower id,
-    upper id) in sorted order, and ids maps Element.key() to the id.
+    perms[i] is an involution, one int32 row, words[i] one minimal
+    reflection word for it and ranks[i] its reflection length; ids run in
+    rank order.  down[i] is the down-set of element i as a bitset (bit k
+    set when element k lies below it), hasse lists the covering pairs
+    (lower id, upper id) in sorted order, ids maps Element.key() to the
+    id, and elements, the rows as Elements, is built on first access.
     """
 
     top: Element
-    elements: list[Element]
+    perms: np.ndarray
     words: list[tuple[int, ...]]
     ranks: np.ndarray
     down: list[int]
@@ -69,7 +71,11 @@ class IntervalPoset:
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.words)
+
+    @cached_property
+    def elements(self) -> list[Element]:
+        return [Element(self.top.system, perm) for perm in self.perms]
 
     def leq(self, i: int, j: int) -> bool:
         """Whether element i lies below element j."""
@@ -109,12 +115,9 @@ def interval_of_involution(u: Element) -> IntervalPoset:
         raise ValueError("interval construction requires an involution top")
     sys = u.system
     p = parabolic_closure(u)
-    pairs = involutions_with_words(p)
-    elements = [e for e, _ in pairs]
-    words = [w for _, w in pairs]
+    perms, words = involutions_with_words(p)
     ranks = np.array([len(w) for w in words], dtype=np.int16)
-    n = len(elements)
-    perms = np.array([e.perm for e in elements])
+    n = len(words)
     ids = dict(zip(void_rows(perms[:, sys.simple_idx]).tolist(), range(n)))
     if u.key() not in ids:
         raise AssertionError("top element missing from its own interval")
@@ -134,7 +137,7 @@ def interval_of_involution(u: Element) -> IntervalPoset:
     for x, y in hasse:  # y ascending, and x < y
         down[y] |= down[x]
     hasse.sort()
-    return IntervalPoset(u, elements, words, ranks, down, hasse, ids)
+    return IntervalPoset(u, perms, words, ranks, down, hasse, ids)
 
 
 # ----------------------------------------------------------------------
@@ -220,9 +223,7 @@ def is_lattice_structural(u: Element):
     if not u.is_involution:
         raise ValueError("structural lattice test requires an involution")
     sys = u.system
-    p = parabolic_closure(u)
-    pairs = involutions_with_words(p)
-    masks = involution_masks(sys, np.array([e.perm for e, _ in pairs]))
+    masks = involution_masks(sys, involutions_with_words(parabolic_closure(u))[0])
     involutive: dict[int, bool] = {}  # one verdict per distinct intersection
     for j, mj in enumerate(masks):
         for i in range(j):
@@ -270,13 +271,11 @@ def closure_map_report(u: Element) -> dict:
     """
     if not u.is_involution:
         raise ValueError("closure map check requires an involution")
-    sys = u.system
-    p = parabolic_closure(u)
     interval = interval_of_involution(u)
-    masks = [parabolic_closure(e).mask for e in interval.elements]
+    masks = involution_masks(u.system, interval.perms)  # parabolic_closure's route
     injective = len(set(masks)) == len(masks)
     involutive_masks = {
-        q.mask for q in all_subparabolics(p) if q.is_involutive
+        q.mask for q in all_subparabolics(parabolic_closure(u)) if q.is_involutive
     }
     surjective = set(masks) == involutive_masks
     n = interval.size

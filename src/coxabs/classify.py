@@ -20,13 +20,23 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
+import numpy as np
+
 from .absorder import (
     interval_of_involution,
     is_lattice_bruteforce,
     is_lattice_structural,
 )
 from .dihedral import Dihedral
-from .element import Element, identity, longest_element, simple_reflection
+from .element import (
+    Element,
+    identity,
+    longest_element,
+    orbit_labels,
+    simple_conjugates,
+    simple_reflection,
+    void_rows,
+)
 from .parabolic import (
     Parabolic,
     involutions_with_words,
@@ -352,41 +362,21 @@ def dihedral_involution_class_table(m: int) -> list[dict]:
 def involution_class_table(system: RootSystem) -> list[dict]:
     """One row per conjugacy class of involutions: a representative
     minimal reflection word, the class size, the closure type, and the
-    lattice verdicts from all three routes."""
-    full = Parabolic(system, (1 << system.n_pos) - 1)
-    pairs = involutions_with_words(full)
-    ids = {e.key(): i for i, (e, _) in enumerate(pairs)}
-    simple_perms = [system.reflection_table[t] for t in system.simple_idx]
-    assigned = [-1] * len(pairs)
-    classes = []
-    for start in range(len(pairs)):
-        if assigned[start] >= 0:
-            continue
-        cls = len(classes)
-        members = [start]
-        assigned[start] = cls
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            perm = pairs[i][0].perm
-            for sp in simple_perms:
-                img = ids[Element(system, sp[perm[sp]]).key()]
-                if assigned[img] < 0:
-                    assigned[img] = cls
-                    members.append(img)
-                    frontier.append(img)
-        classes.append(members)
+    lattice verdicts from all three routes.  The classes are orbit_labels
+    of the search's rows under conjugation by the simple reflections, each
+    represented by its first row in search order."""
+    perms, words = involutions_with_words(Parabolic(system, (1 << system.n_pos) - 1))
+    ids = dict(zip(void_rows(perms[:, system.simple_idx]).tolist(), range(len(words))))
+    conjugates = simple_conjugates(system, perms)
+    labels = orbit_labels([[ids[k] for k in void_rows(c).tolist()] for c in conjugates])
+    reps, sizes = np.unique(labels, return_counts=True)
     rows = []
-    for members in classes:
-        rep, word = pairs[members[0]]
+    for rep, size in zip(reps.tolist(), sizes.tolist()):
+        u = Element(system, perms[rep])
+        closure = format_type_multiset(parabolic_closure(u).type_labels)
+        verdicts = lattice_verdicts(u)[0]
         rows.append(
-            _class_row(
-                word,
-                len(members),
-                rep.reflection_length(),
-                format_type_multiset(parabolic_closure(rep).type_labels),
-                lattice_verdicts(rep)[0],
-            )
+            _class_row(words[rep], size, u.reflection_length(), closure, verdicts)
         )
     rows.sort(key=lambda r: (r["reflection_length"], r["t_word"]))
     return rows

@@ -43,12 +43,11 @@ from .rootsystem import CapExceededError, RecognitionError, RootSystem
 class Element:
     """One group element acting on the roots of a fixed RootSystem."""
 
-    __slots__ = ("system", "perm", "_ell_t")
+    __slots__ = ("system", "perm")
 
     def __init__(self, system: RootSystem, perm: np.ndarray):
         self.system = system
         self.perm = perm
-        self._ell_t = -1
 
     # -- identity and comparison -----------------------------------------
 
@@ -154,16 +153,11 @@ class Element:
         The rank over Q of the moved rows, divided by the degree of the
         coordinate ring.
         """
-        if self._ell_t >= 0:
-            return self._ell_t
-        sys = self.system
-        cache = sys._ell_t_cache
-        key = self.key()
+        cache, key = self.system._ell_t_cache, self.key()
         val = cache.get(key)
         if val is None:
-            val = linalg.rank_rational(self.moved_rows()) // sys.int_degree
+            val = linalg.rank_rational(self.moved_rows()) // self.system.int_degree
             cache[key] = val
-        self._ell_t = val
         return val
 
 
@@ -266,18 +260,43 @@ class GroupEnumeration:
 
     @cached_property
     def reflection_lengths(self) -> np.ndarray:
-        """l_T for every element id, as one array."""
-        return np.fromiter(
-            (self.element(i).reflection_length() for i in range(self.size)),
-            dtype=np.int8,
-            count=self.size,
-        )
+        """l_T for every element id, as one array: one reflection_length
+        per conjugacy class, taken at its least id and spread over the class
+        by orbit_labels.  l_T is a class function, since T is closed under
+        conjugation (Carter, Compositio Math. 25, 1972)."""
+        conjugates = simple_conjugates(self.system, self.perms)
+        labels = orbit_labels([self.ids_of_images(c) for c in conjugates])
+        reps, class_of = np.unique(labels, return_inverse=True)
+        lengths = [self.element(r).reflection_length() for r in reps.tolist()]
+        return np.array(lengths, dtype=np.int8)[class_of]
 
     def involution_ids(self) -> np.ndarray:
         """Ids of all elements with w * w = identity, identity included."""
         simple = self.system.simple_idx
         squares = np.take_along_axis(self.perms, self.perms[:, simple], axis=1)
         return np.nonzero((squares == simple).all(axis=1))[0]
+
+
+def simple_conjugates(system: RootSystem, perms: np.ndarray) -> list[np.ndarray]:
+    """Per simple reflection s, the keys of s x s for the rows x of perms."""
+    simple = system.simple_idx
+    return [sp[perms[:, sp[simple]]] for sp in system.reflection_table[simple]]
+
+
+def orbit_labels(generators: list) -> np.ndarray:
+    """For each id, the least id of its orbit under k permutations of n ids,
+    generators[g][x] the id of g(x).  A sweep lowers each label to its
+    image's, one generator after another, then jumps along labels[labels];
+    labels stay ids of their orbit, at most their own id, so a sweep
+    changes nothing exactly when each orbit carries its least id."""
+    labels = np.arange(len(generators[0]))
+    while True:
+        last = labels
+        for g in generators:
+            labels = np.minimum(labels, labels[g])
+        labels = labels[labels]
+        if np.array_equal(labels, last):
+            return labels
 
 
 def void_rows(rows: np.ndarray) -> np.ndarray:

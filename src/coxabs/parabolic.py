@@ -269,7 +269,7 @@ def involution_masks(system: RootSystem, perms: np.ndarray) -> list[int]:
 # involutions of a subsystem
 
 
-def involutions_with_words(p: Parabolic) -> list[tuple[Element, tuple[int, ...]]]:
+def involutions_with_words(p: Parabolic) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """All involutions of the subsystem, each with one minimal reflection word.
 
     Involutions are exactly the products of pairwise orthogonal
@@ -278,8 +278,9 @@ def involutions_with_words(p: Parabolic) -> list[tuple[Element, tuple[int, ...]]
     word found for each element.  The identity appears with the empty
     word.  Pairwise orthogonal roots are linearly independent, so every
     such word is T-reduced and its length is the reflection length
-    (Carter, Compositio Math. 25, 1972).  Results are sorted by that
-    length, then by permutation.
+    (Carter, Compositio Math. 25, 1972).  Returns (perms, words): one
+    int32 row per involution and its word, sorted by that length, then by
+    permutation bytes.  No Element is built.
 
     The roots a clique may still take are a mask cut by each new root's
     RootSystem.orthogonal_masks.  The first word of x is t, the smallest
@@ -315,12 +316,12 @@ def involutions_with_words(p: Parabolic) -> list[tuple[Element, tuple[int, ...]]
 
     visit(np.arange(sys.n_roots, dtype=np.int32), (), p.mask)
     ordered = sorted(found.values(), key=lambda pw: (len(pw[1]), pw[0].tobytes()))
-    return [(Element(sys, perm), word) for perm, word in ordered]
+    return np.stack([perm for perm, _ in ordered]), [word for _, word in ordered]
 
 
 def enumerate_involutions(p: Parabolic) -> list[Element]:
     """All w in the subsystem with w * w = 1, identity included."""
-    return [elt for elt, _ in involutions_with_words(p)]
+    return [Element(p.system, perm) for perm in involutions_with_words(p)[0]]
 
 
 def all_subparabolics(p: Parabolic) -> list[Parabolic]:

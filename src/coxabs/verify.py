@@ -47,7 +47,7 @@ from .oracles import (
     hurwitz_orbits,
     t_reduced_expressions,
 )
-from .parabolic import Parabolic, involutions_with_words, parabolic_closure
+from .parabolic import Parabolic, enumerate_involutions, parabolic_closure
 from .rootsystem import CapExceededError, RootSystem, format_type_multiset
 
 #: w0 intervals that must be lattices by all three tests
@@ -166,11 +166,10 @@ def _check(name: str):
     return register
 
 
-def _involutions(name: str):
+def _involutions(name: str) -> list[Element]:
     """Every involution of the named type, in search order."""
     system = RootSystem.named(name)
-    full = Parabolic(system, (1 << system.n_pos) - 1)
-    return (u for u, _ in involutions_with_words(full))
+    return enumerate_involutions(Parabolic(system, (1 << system.n_pos) - 1))
 
 
 def _w0_verdicts(name: str) -> tuple[bool, bool, bool]:
@@ -539,9 +538,9 @@ def _interval_matches_oracle(u: Element) -> tuple[bool, str]:
     """Same element set and same cover relation from both routes."""
     poset = interval_of_involution(u)
     oracle = cayley_interval_elements(u)
-    keys = {e.key() for e in poset.elements}
+    keys = [e.key() for e in poset.elements]
     oracle_keys = {e.key() for e in oracle}
-    if keys != oracle_keys:
+    if set(keys) != oracle_keys:
         return False, (
             f"element sets differ: {len(keys)} vs {len(oracle_keys)}"
         )
@@ -555,10 +554,7 @@ def _interval_matches_oracle(u: Element) -> tuple[bool, str]:
             between = Element(system, x.inverse().perm[y.perm])
             if lengths[i] + between.reflection_length() == lengths[j]:
                 oracle_edges.add((x.key(), y.key()))
-    poset_edges = {
-        (poset.elements[i].key(), poset.elements[j].key())
-        for i, j in poset.hasse
-    }
+    poset_edges = {(keys[i], keys[j]) for i, j in poset.hasse}
     if poset_edges != oracle_edges:
         return False, (
             f"cover sets differ: {len(poset_edges)} vs {len(oracle_edges)}"

@@ -120,6 +120,16 @@ def test_meet_in_a_lattice_interval():
         assert got == e
 
 
+def test_index_of_and_meet_refuse_an_element_outside_the_interval():
+    system = RootSystem.named("B3")
+    poset = interval_of_involution(reflection(system, 0))
+    other = reflection(system, 1)
+    with pytest.raises(KeyError, match="element is not in the interval"):
+        poset.index_of(other)
+    with pytest.raises(KeyError, match="element is not in the interval"):
+        meet(poset, poset.top, other)
+
+
 def test_lattice_verdicts_on_small_positives():
     for name in ("A1", "B2", "B3", "D4", "H3"):
         system = RootSystem.named(name)
@@ -250,8 +260,8 @@ def assert_matches_pairwise(u):
 def test_cover_order_equals_pairwise_order_on_every_involution(name):
     system = RootSystem.named(name)
     full = Parabolic(system, (1 << system.n_pos) - 1)
-    for u, _ in involutions_with_words(full):
-        assert_matches_pairwise(u)
+    for perm in involutions_with_words(full)[0]:
+        assert_matches_pairwise(Element(system, perm))
 
 
 def test_cover_order_equals_pairwise_order_on_h4_w0():
@@ -313,8 +323,8 @@ def test_meet_scan_equals_the_incomparable_pair_scan(name):
     # every pair finds the same first failure
     system = RootSystem.named(name)
     full = Parabolic(system, (1 << system.n_pos) - 1)
-    for u, _ in involutions_with_words(full):
-        down = interval_of_involution(u).down
+    for perm in involutions_with_words(full)[0]:
+        down = interval_of_involution(Element(system, perm)).down
         assert first_meet_failure(down) == incomparable_pair_scan(down)
 
 

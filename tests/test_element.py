@@ -15,7 +15,9 @@ from coxabs.element import (
     from_word,
     identity,
     longest_element,
+    orbit_labels,
     reflection,
+    simple_conjugates,
     simple_reflection,
 )
 from coxabs.field import ONE, PHI, ZERO
@@ -24,7 +26,9 @@ from coxabs.rootsystem import (
     RecognitionError,
     RootSystem,
     named_coxeter_matrix,
+    parse_label,
 )
+from coxabs.verify import SMALL_GROUP_TYPES
 
 GROUP_ORDERS = [
     ("A2", 6),
@@ -230,7 +234,7 @@ def test_reflection_length_miss_calls_rank_rational_once(name, monkeypatch):
     w0 = longest_element(system)
     assert w0.reflection_length() == system.rank
     assert len(calls) == 1
-    # memoized on the element, then in the per-system cache
+    # memoized in the per-system cache, which another Element of w0 reads
     assert w0.reflection_length() == system.rank
     assert from_word(system, w0.reduced_word()).reflection_length() == system.rank
     assert len(calls) == 1
@@ -391,3 +395,48 @@ def test_packed_root_table_is_built_once_on_the_first_reflection_length(monkeypa
     assert lengths.max() == system.rank
     assert system.packed_roots is table
     assert len(packs) == system.n_pos * system.int_degree
+
+
+@pytest.mark.parametrize("name", SMALL_GROUP_TYPES)
+def test_orbit_labels_are_the_conjugacy_classes(name):
+    system = RootSystem.named(name)
+    enum = enumerate_group(system)
+    conjugates = simple_conjugates(system, enum.perms)
+    labels = orbit_labels([enum.ids_of_images(c) for c in conjugates])
+    # the reference: close each class under x -> s x s over Python sets;
+    # its first id is the least of its class
+    gens = [simple_reflection(system, s) for s in range(system.rank)]
+    id_of = {enum.element(i).key(): i for i in range(enum.size)}
+    seen: set[int] = set()
+    for first in range(enum.size):
+        if first in seen:
+            continue
+        members, frontier = {first}, [enum.element(first)]
+        while frontier:
+            x = frontier.pop()
+            for s in gens:
+                y = s * x * s
+                if id_of[y.key()] not in members:
+                    members.add(id_of[y.key()])
+                    frontier.append(y)
+        seen |= members
+        assert set(np.flatnonzero(labels == first).tolist()) == members
+
+
+def test_orbit_labels_join_cycles_of_any_length():
+    # one 5-cycle and one 2-cycle under the first generator, with the
+    # second joining id 6 to the 5-cycle
+    generators = np.array([[1, 2, 3, 4, 0, 6, 5], [0, 1, 2, 3, 6, 5, 4]])
+    assert orbit_labels(generators).tolist() == [0] * 7
+    assert orbit_labels(generators[:1]).tolist() == [0] * 5 + [5, 5]
+
+
+@pytest.mark.parametrize("name", SMALL_GROUP_TYPES + ("H4", "E6", "D6", "B6"))
+def test_class_reflection_lengths_equal_the_per_element_route(name):
+    enum = enumerate_group(RootSystem.named(name))
+    lengths = enum.reflection_lengths
+    # a separate system, so that no l_T is read from the cache the classes filled
+    fresh = enumerate_group(RootSystem(named_coxeter_matrix(name), parse_label(name)))
+    assert np.array_equal(fresh.perms, enum.perms)
+    per_element = [fresh.element(i).reflection_length() for i in range(fresh.size)]
+    assert lengths.tolist() == per_element

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from coxabs import linalg, parabolic, rootsystem
 from coxabs.absorder import is_lattice_structural
 from coxabs.classify import lattice_by_classification
 from coxabs.element import (
+    Element,
     enumerate_group,
     from_word,
     longest_element,
@@ -310,14 +312,15 @@ def test_involution_counts_by_enumeration():
         enum = enumerate_group(system)
         assert len(enum.involution_ids()) == count
         full = full_parabolic(system)
-        assert len(involutions_with_words(full)) == count
+        assert len(involutions_with_words(full)[1]) == count
         assert len(enumerate_involutions(full)) == count
 
 
 def test_involution_words_are_orthogonal_reflections():
     system = RootSystem.named("B3")
     full = full_parabolic(system)
-    for w, word in involutions_with_words(full):
+    perms, words = involutions_with_words(full)
+    for w, word in zip(map(Element, repeat(system), perms), words):
         assert w.is_involution
         assert len(word) == w.reflection_length()
         rebuilt = None
@@ -396,7 +399,8 @@ def test_involution_words_start_at_the_smallest_flipped_root(name):
     # word of x s_t
     system = RootSystem.named(name)
     n_pos = system.n_pos
-    pairs = involutions_with_words(full_parabolic(system))
+    perms, words = involutions_with_words(full_parabolic(system))
+    pairs = list(zip(map(Element, repeat(system), perms), words))
     word_of = {x.key(): word for x, word in pairs}
     for x, word in pairs:
         flipped = np.flatnonzero(x.perm[:n_pos] == np.arange(n_pos) + n_pos)
@@ -410,11 +414,11 @@ def test_involution_words_start_at_the_smallest_flipped_root(name):
 @pytest.mark.parametrize("name", SMALL_GROUP_TYPES + ("D6", "E6", "H4"))
 def test_involution_masks_equal_the_closures(name):
     system = RootSystem.named(name)
-    pairs = involutions_with_words(full_parabolic(system))
-    masks = involution_masks(system, np.array([x.perm for x, _ in pairs]))
-    assert masks == [parabolic_closure(x).mask for x, _ in pairs]
+    perms, words = involutions_with_words(full_parabolic(system))
+    masks = involution_masks(system, perms)
+    assert masks == [parabolic_closure(Element(system, x)).mask for x in perms]
     # and the closures of the word letters, by the span route
-    assert masks == [closure_of_roots(system, word).mask for _, word in pairs]
+    assert masks == [closure_of_roots(system, word).mask for word in words]
 
 
 def test_orthogonal_masks_are_the_orthogonality_rows():
