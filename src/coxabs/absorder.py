@@ -53,7 +53,7 @@ def leq_T(u: Element, v: Element) -> bool:
 class IntervalPoset:
     """The interval [1, top] in the absolute order, fully materialized.
 
-    perms[i] is an involution, one int32 row, words[i] one minimal
+    perms[i] is an involution, one PERM_DTYPE row, words[i] one minimal
     reflection word for it and ranks[i] its reflection length; ids run in
     rank order.  down[i] is the down-set of element i as a bitset (bit k
     set when element k lies below it), hasse lists the covering pairs

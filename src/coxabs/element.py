@@ -3,10 +3,12 @@
 An element w is stored as the integer array perm with perm[i] the index
 of w(root_i).  Composition is a numpy gather and inversion an argsort,
 so group arithmetic is cheap even for groups with tens of thousands of
-elements.  The simple roots are a basis, so their images fix w: the key
-of an element, by which every dict of elements is indexed, is the bytes
-of perm[simple_idx], 4 * rank bytes, and w is the identity or an
-involution exactly when its key (or that of w * w) is simple_idx itself.
+elements.  Every perm has the one dtype rootsystem.PERM_DTYPE (int16,
+2 bytes per root), to which Element converts what it is given.  The
+simple roots are a basis, so their images fix w: the key of an element,
+by which every dict of elements is indexed, is the bytes of
+perm[simple_idx], 2 * rank bytes, and w is the identity or an involution
+exactly when its key (or that of w * w) is simple_idx itself.
 
 Two exact length functions live here.  The word length l_S(w) counts the
 positive roots sent negative.  The reflection length l_T(w) is computed
@@ -22,14 +24,16 @@ verify compare against.
 
 longest_element is the cached one of the full Parabolic.  It, the l_T
 memo and the group table live as long as their RootSystem.
-enumerate_group lists the whole group in one preallocated int32 table of
-group_order rows, one word length at a time, in breadth-first order; a
+enumerate_group lists the whole group in one preallocated PERM_DTYPE
+table of group_order rows, one word length at a time, in breadth-first
+order, and its reduced words in one int8 array of letters beside it; a
 group whose table, words and keys would pass TABLE_CAP_BYTES is refused
 from its order, before anything is allocated.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cached_property
 
 import numpy as np
@@ -37,7 +41,7 @@ import numpy as np
 from . import linalg, rootsystem
 from .field import ONE
 from .linalg import Subspace
-from .rootsystem import CapExceededError, RecognitionError, RootSystem
+from .rootsystem import PERM_DTYPE, CapExceededError, RecognitionError, RootSystem
 
 
 class Element:
@@ -47,7 +51,8 @@ class Element:
 
     def __init__(self, system: RootSystem, perm: np.ndarray):
         self.system = system
-        self.perm = perm
+        # one dtype, so that equal elements have equal keys and hashes
+        self.perm = perm if perm.dtype is PERM_DTYPE else perm.astype(PERM_DTYPE)
 
     # -- identity and comparison -----------------------------------------
 
@@ -166,7 +171,7 @@ class Element:
 
 
 def identity(system: RootSystem) -> Element:
-    return Element(system, np.arange(system.n_roots, dtype=np.int32))
+    return Element(system, np.arange(system.n_roots, dtype=PERM_DTYPE))
 
 
 def simple_reflection(system: RootSystem, s: int) -> Element:
@@ -182,7 +187,7 @@ def reflection(system: RootSystem, t: int) -> Element:
 
 def from_word(system: RootSystem, word) -> Element:
     """Product of simple reflections given by 0-based generator indices."""
-    perm = np.arange(system.n_roots, dtype=np.int32)
+    perm = np.arange(system.n_roots, dtype=PERM_DTYPE)
     for s in word:
         if not 0 <= s < system.rank:
             raise ValueError(f"no simple generator with index {s}")
@@ -214,6 +219,28 @@ def check_T_reduced(system: RootSystem, reflection_indices) -> bool:
 # whole-group enumeration
 
 
+class Words(Sequence):
+    """The reduced words of an enumeration, read off one int8 array: word i
+    is the tuple letters[i, :lengths[i]] of 0-based generator indices.
+
+    Both arrays view zeroed bytearrays, whose slices read a word in less
+    than half the time numpy indexing takes; enumerate_group fills them.
+    """
+
+    def __init__(self, count: int, width: int):
+        self._letters, self._lengths = bytearray(count * width), bytearray(count)
+        self._width = width
+        self.letters = np.frombuffer(self._letters, np.int8).reshape(count, width)
+        self.lengths = np.frombuffer(self._lengths, np.int8)
+
+    def __len__(self) -> int:
+        return len(self._lengths)
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        start = i % len(self._lengths) * self._width
+        return tuple(self._letters[start : start + self._lengths[i]])
+
+
 class GroupEnumeration:
     """Every element of a finite system, as stacked permutation rows.
 
@@ -223,7 +250,7 @@ class GroupEnumeration:
     ids_of_images looks elements up by their keys.
     """
 
-    def __init__(self, system: RootSystem, perms: np.ndarray, words: list):
+    def __init__(self, system: RootSystem, perms: np.ndarray, words: Words):
         self.system = system
         self.perms = perms
         self.words = words
@@ -300,9 +327,9 @@ def orbit_labels(generators: list) -> np.ndarray:
 
 
 def void_rows(rows: np.ndarray) -> np.ndarray:
-    """Each row of a 2-D array, as int32, viewed as one opaque void scalar."""
-    rows = np.ascontiguousarray(rows, dtype=np.int32)
-    return rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
+    """Each row of a 2-D array, as PERM_DTYPE, viewed as one void scalar."""
+    rows = np.ascontiguousarray(rows, dtype=PERM_DTYPE)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def enumerate_group(system: RootSystem) -> GroupEnumeration:
@@ -311,7 +338,8 @@ def enumerate_group(system: RootSystem) -> GroupEnumeration:
     It is filled a word length at a time from the ascents w * s of the
     last level, those with w(a_s) > 0: exactly then is w * s one longer
     than w, so never an earlier element.  Kept at first occurrence in
-    parent-major order, they get the ids and words of a breadth-first walk.
+    parent-major order, they get the ids and words of a breadth-first walk:
+    each new row of letters is its parent's with the generator appended.
 
     Raises CapExceededError, before allocating, when the table and words
     would pass TABLE_CAP_BYTES, and RecognitionError unless the walk finds
@@ -320,24 +348,26 @@ def enumerate_group(system: RootSystem) -> GroupEnumeration:
     if system._group is not None:
         return system._group
     order, n_roots = system.group_order, system.n_roots
-    # per element: the int32 row, a word of n_pos / 2 letters on average
-    # (8 bytes each), a sorted key of 4 * rank bytes and 176 bytes more:
-    # about 56 for the word's tuple and list slot and the key's id, and margin
-    size = order * (4 * n_roots + 4 * system.n_pos + 4 * system.rank + 176)
+    simple, n_pos, rank = system.simple_idx, system.n_pos, system.rank
+    # per element: the row and the key of sorted_keys, in PERM_DTYPE, the
+    # key's int64 id, the letters of the word (l(w0) = n_pos bytes) and its
+    # length, and 32 bytes for the level step's temporaries (at most 26
+    # under tracemalloc on E6, D6, D7, A8 and B7)
+    size = order * (PERM_DTYPE.itemsize * (n_roots + rank) + 8 + n_pos + 1 + 32)
     cap = rootsystem.TABLE_CAP_BYTES
     if size > cap:
         raise CapExceededError(
             f"the group of {system.describe()} has {order} elements, whose "
             f"table and words of {size} bytes would pass the cap of {cap} bytes"
         )
-    simple, n_pos = system.simple_idx, system.n_pos
     simple_perms = system.reflection_table[simple]
     simple_images = simple_perms[:, simple]  # row s: s at the simple roots
-    perms = np.empty((order, n_roots), dtype=np.int32)
+    perms = np.empty((order, n_roots), dtype=PERM_DTYPE)
     perms[0] = np.arange(n_roots)
-    words: list[tuple[int, ...]] = [()] * order
+    words = Words(order, n_pos)  # l(w0) = n_pos letters at most
+    letters, lengths = words.letters, words.lengths
     lo, hi = 0, 1  # perms[lo:hi] is the last filled level
-    while lo < hi:
+    for depth in range(n_pos):
         level = perms[lo:hi]
         parents, gens = np.nonzero(level[:, simple] < n_pos)
         keys = void_rows(level[parents[:, None], simple_images[gens]])
@@ -352,9 +382,9 @@ def enumerate_group(system: RootSystem) -> GroupEnumeration:
         for s, sp in enumerate(simple_perms):  # per generator: less peak RSS
             at = np.flatnonzero(gens == s)
             perms[hi + at] = level[np.ix_(parents[at], sp)]
-        words[hi:count] = [
-            words[lo + p] + (s,) for p, s in zip(parents.tolist(), gens.tolist())
-        ]
+        letters[hi:count] = letters[lo + parents]
+        letters[hi:count, depth] = gens
+        lengths[hi:count] = depth + 1
         lo, hi = hi, count
     if hi != order:
         raise RecognitionError(

@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .element import Element, from_word
-from .rootsystem import RootSystem
+from .rootsystem import PERM_DTYPE, RootSystem
 
 #: caps on the oracle inputs, matching the documented contracts
 DYER_MAX_WORD = 16
@@ -37,7 +37,7 @@ def dyer_reflection_length(system: RootSystem, word) -> int:
     if w.length_S() != len(word):
         raise ValueError("deletion oracle requires a reduced word")
     letters = [system.reflection_table[system.simple_idx[s]] for s in word]
-    ident = np.arange(system.n_roots, dtype=np.int32)
+    ident = np.arange(system.n_roots, dtype=PERM_DTYPE)
     n = len(word)
     for k in range(n + 1):
         for removed in combinations(range(n), k):
@@ -63,7 +63,7 @@ def cayley_interval_elements(u: Element) -> list[Element]:
     target_len = u.reflection_length()
     u_perm = u.perm
     found: dict[bytes, Element] = {}
-    ident = Element(sys, np.arange(sys.n_roots, dtype=np.int32))
+    ident = Element(sys, np.arange(sys.n_roots, dtype=PERM_DTYPE))
     found[ident.key()] = ident
     frontier = [ident]
     while frontier:

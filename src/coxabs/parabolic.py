@@ -33,7 +33,7 @@ import numpy as np
 from . import linalg, rootsystem
 from .element import Element
 from .linalg import Subspace
-from .rootsystem import CapExceededError, RootSystem, TypeLabel, recognize
+from .rootsystem import PERM_DTYPE, CapExceededError, RootSystem, TypeLabel, recognize
 
 
 def indices_from_mask(mask: int) -> tuple[int, ...]:
@@ -155,7 +155,7 @@ class Parabolic:
     def longest_element(self) -> Element:
         """Longest element of the subsystem, by greedy descent removal."""
         sys = self.system
-        perm = np.arange(sys.n_roots, dtype=np.int32)
+        perm = np.arange(sys.n_roots, dtype=PERM_DTYPE)
         while True:
             up = next((b for b in self.simple_system if perm[b] < sys.n_pos), None)
             if up is None:
@@ -279,8 +279,8 @@ def involutions_with_words(p: Parabolic) -> tuple[np.ndarray, list[tuple[int, ..
     word.  Pairwise orthogonal roots are linearly independent, so every
     such word is T-reduced and its length is the reflection length
     (Carter, Compositio Math. 25, 1972).  Returns (perms, words): one
-    int32 row per involution and its word, sorted by that length, then by
-    permutation bytes.  No Element is built.
+    PERM_DTYPE row per involution and its word, sorted by that length,
+    then by permutation bytes.  No Element is built.
 
     The roots a clique may still take are a mask cut by each new root's
     RootSystem.orthogonal_masks.  The first word of x is t, the smallest
@@ -314,7 +314,7 @@ def involutions_with_words(p: Parabolic) -> tuple[np.ndarray, list[tuple[int, ..
             t = low.bit_length() - 1
             visit(perm[table[t]], clique + (t,), allowed & orth[t])
 
-    visit(np.arange(sys.n_roots, dtype=np.int32), (), p.mask)
+    visit(np.arange(sys.n_roots, dtype=PERM_DTYPE), (), p.mask)
     ordered = sorted(found.values(), key=lambda pw: (len(pw[1]), pw[0].tobytes()))
     return np.stack([perm for perm, _ in ordered]), [word for _, word in ordered]
 

@@ -42,8 +42,12 @@ import numpy as np
 from . import linalg
 from .field import FieldScalar, phi_sign
 
-#: largest reflection table (n_pos x n_roots int32 entries) a build will
-#: allocate, in bytes: A100 needs about 204 MB, A107 is the last A_n admitted
+#: the dtype of every permutation of root indices: the reflection table,
+#: the group table, involution rows and keys (Element.key)
+PERM_DTYPE = np.dtype(np.int16)
+
+#: largest reflection table (n_pos x n_roots PERM_DTYPE entries) a build
+#: will allocate, in bytes: A127 (16 256 roots) is the last A_n admitted
 TABLE_CAP_BYTES = 256 * 2**20
 
 
@@ -382,8 +386,14 @@ def _reference_gram(matrix: CoxeterMatrix) -> tuple:
 
 
 def _check_table_bytes(n_roots: int) -> None:
-    """Refuse a build whose reflection table would pass TABLE_CAP_BYTES."""
-    size = (n_roots // 2) * n_roots * 4
+    """Refuse a build whose root indices would not fit PERM_DTYPE, or whose
+    reflection table would pass TABLE_CAP_BYTES."""
+    if n_roots - 1 > np.iinfo(PERM_DTYPE).max:
+        raise CapExceededError(
+            f"a system with {n_roots} roots has root indices beyond "
+            f"{PERM_DTYPE.name}"
+        )
+    size = (n_roots // 2) * n_roots * PERM_DTYPE.itemsize
     if size > TABLE_CAP_BYTES:
         raise CapExceededError(
             f"a system with {n_roots} or more roots needs a reflection table "
@@ -465,11 +475,11 @@ class RootSystem:
         self.n_pos = len(positives)
         self.n_roots = 2 * self.n_pos
         flat = positives + [tuple(-x for x in r) for r in positives]
-        index = np.empty(self.n_pos, dtype=np.int32)
-        index[order] = np.arange(self.n_pos, dtype=np.int32)
+        index = np.empty(self.n_pos, dtype=np.intp)
+        index[order] = np.arange(self.n_pos)
         # the simple roots are the first n found; an index array, so that
         # perm[simple_idx] reads off their images
-        self.simple_idx = index[:n].astype(np.intp)
+        self.simple_idx = index[:n].copy()
         self.reflection_table = self._build_reflection_table(images[order], index)
         self.int_rows = tuple(
             (r, tuple(x for a, b in zip(r[::2], r[1::2]) for x in (b, a + b)))
@@ -546,13 +556,13 @@ class RootSystem:
                 f"the {n_roots // 2} positive roots of the recognized type, "
                 "or one with a negative coordinate"
             )
-        return found, np.array(images, dtype=np.int32)
+        return found, np.array(images, dtype=np.intp)
 
     def _build_reflection_table(self, images: np.ndarray, index: np.ndarray):
         """The reflection table from the closure's images of the positive
         roots (images, rows in index order), using s(-r) = -s(r)."""
         n_pos, n_roots = self.n_pos, self.n_roots
-        table = np.full((n_pos, n_roots), -1, dtype=np.int32)
+        table = np.full((n_pos, n_roots), -1, dtype=PERM_DTYPE)
         simple_perms = {}
         for s in range(self.rank):
             t = int(self.simple_idx[s])

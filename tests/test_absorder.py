@@ -130,6 +130,24 @@ def test_index_of_and_meet_refuse_an_element_outside_the_interval():
         meet(poset, poset.top, other)
 
 
+def test_an_element_has_one_key_whatever_the_dtype_of_its_row():
+    # a system of its own, so that no other test has filled its l_T cache
+    system = RootSystem(named_coxeter_matrix("B3"), parse_label("B3"))
+    poset = interval_of_involution(longest_element(system))
+    i = poset.size // 2
+    x = poset.elements[i]
+    copies = [Element(system, x.perm.astype(d)) for d in (np.int16, np.int32, np.int64)]
+    assert all(c == x for c in copies)
+    assert len({c.key() for c in copies}) == len({hash(c) for c in copies}) == 1
+    assert len(set(copies)) == 1
+    assert [poset.index_of(c) for c in copies] == [i, i, i]
+    cache = system._ell_t_cache
+    cache.pop(x.key(), None)
+    before = len(cache)
+    assert len({c.reflection_length() for c in copies}) == 1
+    assert len(cache) == before + 1
+
+
 def test_lattice_verdicts_on_small_positives():
     for name in ("A1", "B2", "B3", "D4", "H3"):
         system = RootSystem.named(name)

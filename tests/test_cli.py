@@ -312,9 +312,9 @@ def test_verify_unknown_check_name(capsys):
 
 
 def test_oversized_matrix_file_is_refused_from_its_diagram(capsys):
-    # the recognizer names A108 before any root exists, like the label
-    path = Path(__file__).parent / "data" / "matrices" / "a108.txt"
+    # the recognizer names A128 before any root exists, like the label
+    path = Path(__file__).parent / "data" / "matrices" / "a128.txt"
     code, out, err = run(capsys, "build", str(path))
     assert code == 2
     assert out == ""
-    assert "11772 or more roots" in err
+    assert "16512 or more roots" in err

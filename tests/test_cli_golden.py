@@ -21,14 +21,14 @@ GOLDEN = DATA / "cli_golden.json"
 
 NAMED = ["A3", "B3", "B4", "D4", "F4", "H3", "G2", "I2(5)"]
 MATRIX_FILES = ["h3", "f4", "g2", "b2xa1"]
-REFUSED_FILES = ["affine_triangle", "four_bond_cycle", "bond7", "a108"]
+REFUSED_FILES = ["affine_triangle", "four_bond_cycle", "bond7", "a128"]
 COMMANDS = [["build"], ["classify"], ["lattice", "--w0"], ["interval", "--w0"], ["length", "--w0"]]
 
 
 def golden_argvs() -> list[list[str]]:
     types = NAMED + [f"matrices/{name}.txt" for name in MATRIX_FILES]
     argvs = [[cmd[0], t, *cmd[1:]] for t in types for cmd in COMMANDS]
-    argvs += [["build", "E8"], ["build", "A108"]]
+    argvs += [["build", "E8"], ["build", "A128"]]
     argvs += [["build", f"matrices/{name}.txt"] for name in REFUSED_FILES]
     return argvs
 

@@ -90,9 +90,9 @@ def test_group_table_matches_the_reference(name):
     system = b2xa1_system() if name == "b2xa1" else RootSystem.named(name)
     enum = enumerate_group(system)
     perms, words, index = reference_enumeration(system)
-    assert enum.perms.dtype == np.int32
+    assert enum.perms.dtype == np.int16
     assert np.array_equal(enum.perms, perms)
-    assert enum.words == words
+    assert list(enum.words) == words
     assert len(index) == enum.size
     ids = enum.ids_of_images(enum.perms[:, system.simple_idx])
     expected = [index[row.tobytes()] for row in perms]
@@ -270,16 +270,16 @@ def test_enumeration_reflection_lengths_and_involutions():
 
 def test_oversized_group_table_is_refused(monkeypatch):
     # A3: 24 elements, 12 roots, 6 positive, rank 3: per element a row of
-    # 48 bytes, 24 + 12 bytes of word and key, and 176 of overhead
+    # 24 bytes, a key of 6 and its id of 8, 6 + 1 bytes of word, 32 of margin
     system = RootSystem.named("A3")
     monkeypatch.setattr(system, "_group", None)
-    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 6239)
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 1847)
     with pytest.raises(CapExceededError) as err:
         enumerate_group(system)
-    assert "6239" in str(err.value)
+    assert "1847" in str(err.value)
     assert system._group is None
-    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 6240)
-    assert enumerate_group(system).perms.nbytes == 1152
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 1848)
+    assert enumerate_group(system).perms.nbytes == 576
 
 
 @pytest.mark.parametrize(
@@ -295,7 +295,10 @@ def test_wrong_group_order_is_refused(shift, message, monkeypatch):
     assert system._group is None
 
 
-@pytest.mark.parametrize("name, admitted", [("D7", True), ("A8", True), ("B7", False)])
+@pytest.mark.parametrize(
+    "name, admitted",
+    [("D7", True), ("A8", True), ("B7", True), ("E7", False), ("D8", False), ("A9", False)],
+)
 def test_group_cap_counts_words_and_index(name, admitted, monkeypatch):
     # the cap is decided from the order alone: stop at the table allocation
     class Allocated(Exception):
@@ -323,6 +326,43 @@ def test_e7_group_is_refused_before_it_allocates():
     assert peak < 2**20
 
 
+def test_enumeration_peak_fits_the_lean_layout():
+    # a system of its own, enumerated under tracemalloc: per element a row of
+    # 2 bytes per root, one byte per letter of the longest word and one for
+    # the length, and at most the 32 bytes the cap keeps for the level step
+    system = RootSystem(named_coxeter_matrix("E6"), parse_label("E6"))
+    tracemalloc.start()
+    try:
+        enum = enumerate_group(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    layout = enum.size * (2 * system.n_roots + system.n_pos + 1)
+    assert peak <= layout + 32 * enum.size
+    held = enum.perms.nbytes + enum.words.letters.nbytes + enum.words.lengths.nbytes
+    assert held == layout
+
+
+def test_words_read_as_a_sequence_of_tuples():
+    system = RootSystem.named("B3")
+    enum = enumerate_group(system)
+    words = enum.words
+    assert len(words) == enum.size == 48
+    assert words[0] == () and words[1] == (0,)
+    assert words[-1] == words[47] and words[-48] == words[0]
+    assert from_word(system, words[-1]) == longest_element(system)
+    assert len(words[-1]) == system.n_pos
+    for i in (48, -49):
+        with pytest.raises(IndexError):
+            words[i]
+    it = iter(words)
+    listed = [next(it) for _ in range(48)]
+    with pytest.raises(StopIteration):
+        next(it)
+    assert listed == list(words) == [words[i] for i in range(48)]
+    assert all(type(w) is tuple and all(type(s) is int for s in w) for w in listed)
+
+
 def test_multiplication_convention():
     # (u v)(root) = u(v(root)) so perms compose right to left
     system = RootSystem.named("A2")
@@ -345,7 +385,7 @@ def test_ids_of_images_equals_the_dict_lookup(name):
     images = [enum.perms[:, system.reflection_table[t][simple]] for t in simple]
     images.append(np.argsort(enum.perms, axis=1)[:, simple])
     for rows in images:
-        expected = [index[row.astype(np.int32).tobytes()] for row in rows]
+        expected = [index[row.astype(np.int16).tobytes()] for row in rows]
         assert enum.ids_of_images(rows).tolist() == expected
     missing = enum.perms[:2, simple].copy()
     missing[1] = missing[1][::-1]  # reversed images are no element's

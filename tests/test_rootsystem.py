@@ -302,14 +302,14 @@ def test_the_build_makes_no_field_scalar_operation(monkeypatch):
 
 
 def test_oversized_reflection_table_is_refused(monkeypatch):
-    # A4: 10 positive roots, 20 roots, a table of 10 * 20 int32 = 800 bytes
+    # A4: 10 positive roots, 20 roots, a table of 10 * 20 int16 = 400 bytes
     matrix = named_coxeter_matrix("A4")
-    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 799)
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 399)
     with pytest.raises(CapExceededError) as err:
         RootSystem(matrix)
-    assert "799" in str(err.value)
-    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 800)
-    assert RootSystem(matrix).reflection_table.nbytes == 800
+    assert "399" in str(err.value)
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 400)
+    assert RootSystem(matrix).reflection_table.nbytes == 400
 
 
 @pytest.mark.parametrize("name", BUILT_TYPES)
@@ -323,13 +323,26 @@ def test_oversized_named_type_is_refused_before_the_orbit_closure(monkeypatch):
         raise AssertionError("the orbit closure ran")
 
     monkeypatch.setattr(RootSystem, "_orbit_closure", entered)
-    with pytest.raises(CapExceededError, match="11772 or more roots"):
-        RootSystem.named("A108")
+    with pytest.raises(CapExceededError, match="16512 or more roots"):
+        RootSystem.named("A128")
     # a matrix file is named by the recognizer first, and refused alike
-    with pytest.raises(CapExceededError, match="11772 or more roots"):
-        RootSystem(matrix_file("a108"))
-    # A107 is the last A_n under the cap
-    rootsystem._check_table_bytes(rootsystem.root_count(parse_label("A107")))
+    with pytest.raises(CapExceededError, match="16512 or more roots"):
+        RootSystem(matrix_file("a128"))
+    # A127 is the last A_n under the cap
+    rootsystem._check_table_bytes(rootsystem.root_count(parse_label("A127")))
+
+
+def test_root_indices_beyond_the_perm_dtype_are_refused(monkeypatch):
+    # with the byte cap lifted the dtype alone bounds a build: A180 has
+    # 32 580 roots, A181 has 32 942, past the int16 index 32 767
+    def entered(self, n_roots):
+        raise AssertionError("the orbit closure ran")
+
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 2**40)
+    monkeypatch.setattr(RootSystem, "_orbit_closure", entered)
+    with pytest.raises(CapExceededError, match="32942 roots has root indices beyond int16"):
+        RootSystem(named_coxeter_matrix("A181"))
+    rootsystem._check_table_bytes(rootsystem.root_count(parse_label("A180")))
 
 
 def test_named_systems_are_cached():
