@@ -33,7 +33,7 @@ from its order, before anything is allocated.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from functools import cached_property
 
 import numpy as np
@@ -304,10 +304,10 @@ class GroupEnumeration:
         return np.nonzero((squares == simple).all(axis=1))[0]
 
 
-def simple_conjugates(system: RootSystem, perms: np.ndarray) -> list[np.ndarray]:
-    """Per simple reflection s, the keys of s x s for the rows x of perms."""
+def simple_conjugates(system: RootSystem, perms: np.ndarray) -> Iterator[np.ndarray]:
+    """Per simple reflection s, lazily, the keys of s x s for the rows x of perms."""
     simple = system.simple_idx
-    return [sp[perms[:, sp[simple]]] for sp in system.reflection_table[simple]]
+    return (sp[perms[:, sp[simple]]] for sp in system.reflection_table[simple])
 
 
 def orbit_labels(generators: list) -> np.ndarray:

@@ -10,6 +10,9 @@ reproduces each interval poset edge for edge.  Everything returns
 CheckResult records so the command line tool and the test suite share
 one implementation.
 
+The structure laws read every product off one table per group, left[t, w]
+= id(t * w) for positive roots t and element ids w, built only here.
+
 The two heavyweight sweeps (E6 exhaustion, full H4) sit behind the deep
 flag; with deep=False the remaining checks finish in well under a
 minute.
@@ -20,6 +23,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import inspect
+import itertools
+import math
 import random
 import time
 import traceback
@@ -38,6 +43,7 @@ from .element import (
     check_T_reduced,
     enumerate_group,
     longest_element,
+    orbit_labels,
 )
 from .field import ONE, PHI, FieldScalar
 from .linalg import rank
@@ -345,20 +351,31 @@ def check_dyer_agreement():
     return ok, lines
 
 
-def _member_ids(parabolic: Parabolic, enum) -> frozenset:
-    """Ids of the subgroup generated by a closed root subsystem."""
-    system = parabolic.system
-    # row k: simple generator k of the subsystem at the simple roots
-    gens = system.reflection_table[
-        np.ix_(parabolic.simple_system, system.simple_idx)
-    ]
-    seen, frontier = {0}, [0]  # the identity, then a breadth-first level a step
-    while frontier:
-        images = enum.perms[np.array(frontier)[:, None, None], gens]
-        ids = enum.ids_of_images(images.reshape(-1, system.rank))
-        frontier = list(set(ids.tolist()) - seen)
-        seen.update(frontier)
-    return frozenset(seen)
+def _pointwise_fixers(system: RootSystem, perms: np.ndarray):
+    """Criterion c on exact integers: fixes(basis) tells, per row v of perms,
+    whether M_v x = x for every x of a FieldScalar basis.  Column j of M_v is
+    v(a_j) in the reference system.roots as integer pairs (a, b) = a + b*phi,
+    x with its denominators cleared is pairs (p, q), and (a + b*phi)(p + q*phi)
+    = ap + bq + (aq + bp + bq)*phi.  No entry of M_v x passes 3 * rank *
+    max|a, b| * max|p, q|, so the products run on int64 while that bound
+    fits it, and on Python ints otherwise.
+    """
+    coords = np.array([[[int(q) for q in c.coords] for c in r] for r in system.roots])
+    a, b = coords[perms[:, system.simple_idx]].transpose(3, 0, 2, 1)  # [v, i, j]
+
+    def fixes(basis) -> np.ndarray:
+        den = math.lcm(*(q.denominator for x in basis for c in x for q in c.coords))
+        pairs = [[[int(q * den) for q in c.coords] for c in x] for x in basis]
+        widest = max((abs(v) for x in pairs for c in x for v in c), default=0)
+        bound = 3 * system.rank * int(np.abs(coords).max()) * widest
+        dtype = np.int64 if bound <= np.iinfo(np.int64).max else object
+        # p[j, k] + q[j, k]*phi: coordinate j of basis vector k
+        p, q = np.array(pairs, dtype=dtype).reshape(-1, system.rank, 2).T
+        av, bv = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+        fixed = (av @ p + bv @ q == p) & (av @ q + bv @ p + bv @ q == q)
+        return fixed.all(axis=(1, 2))
+
+    return fixes
 
 
 def _order_law_failures(system: RootSystem) -> tuple[list[str], int]:
@@ -381,133 +398,111 @@ def _order_law_failures(system: RootSystem) -> tuple[list[str], int]:
         parabolics inside the closure of u and an order isomorphism;
       * every minimal reflection factorization of an involution consists
         of pairwise commuting reflections.
+
+    Each law is one whole-array comparison, and only its failures are
+    walked in Python, t-major, then w.  The products come from one table,
+    left[t, w] = id(t * w), n_pos calls of ids_of_images: id(t) is
+    left[t, 0], id(u * w) is u's word applied to left letter by letter, and
+    the subgroup generated by the closure of u is the orbit of the identity
+    under the rows left[b], b simple in it.  Criterion c runs on integers
+    (_pointwise_fixers); the direct sum split and the closure ranks stay on
+    the FieldScalar reference.
     """
     failures: list[str] = []
     enum = enumerate_group(system)
-    n = enum.size
-    n_pos = system.n_pos
-    perms = enum.perms
-    simple = system.simple_idx
+    n, n_pos = enum.size, system.n_pos
+    perms, table, simple = enum.perms, system.reflection_table, system.simple_idx
     ell = enum.reflection_lengths.astype(np.int64)
-    inv_all = perms[enum.inverse_ids]
-    invol = np.zeros(n, dtype=bool)
-    invol[enum.involution_ids()] = True
+    invol_ids = enum.involution_ids()
+    invol = np.isin(np.arange(n), invol_ids)
     closures = [parabolic_closure(enum.element(i)) for i in range(n)]
+    left = np.array([enum.ids_of_images(t[perms[:, simple]]) for t in table])
 
-    for i in range(n):
-        if closures[i].rank != ell[i]:
-            failures.append(
-                f"closure rank {closures[i].rank} != length {ell[i]} "
-                f"at id {i}"
-            )
+    ranks = np.array([c.rank for c in closures])
+    for i in np.flatnonzero(ranks != ell):
+        failures.append(f"closure rank {ranks[i]} != length {ell[i]} at id {i}")
 
-    refl_ids = enum.ids_of_images(system.reflection_table[:, simple])
-    images = perms[:, simple]
-    for t in range(n_pos):
-        product_ids = enum.ids_of_images(system.reflection_table[t][images])
-        for w in range(n):
-            below = 1 + ell[product_ids[w]] == ell[w]
-            member = (closures[w].mask >> t) & 1 == 1
-            if below != member:
-                failures.append(
-                    f"reflection {t} below id {w}: {below}, "
-                    f"membership: {member}"
-                )
+    below = 1 + ell[left] == ell
+    masks = np.array([c.mask for c in closures], dtype=object)
+    member = (masks >> np.arange(n_pos)[:, None]) & 1 == 1
+    for t, w in zip(*np.nonzero(below != member)):
+        failures.append(
+            f"reflection {t} below id {w}: {below[t, w]}, "
+            f"membership: {member[t, w]}"
+        )
 
-    for i in range(n):
-        is_longest = enum.element(i) == closures[i].longest_element
-        if bool(invol[i]) != is_longest:
-            failures.append(
-                f"id {i}: involution={bool(invol[i])} but "
-                f"longest-of-closure={is_longest}"
-            )
+    longest = np.array([c.longest_element.perm for c in closures])
+    is_longest = (longest == perms).all(axis=1)
+    for i in np.flatnonzero(invol != is_longest):
+        failures.append(
+            f"id {i}: involution={invol[i]} but "
+            f"longest-of-closure={is_longest[i]}"
+        )
 
-    w0 = longest_element(system)
-    w0_id = int(enum.ids_of_images(w0.perm[None, simple])[0])
-    t_w0_ids = enum.ids_of_images(system.reflection_table[:, w0.perm[simple]])
-    for t in range(n_pos):
-        t_w0 = system.reflection_table[t][w0.perm]
-        w0_t = w0.perm[system.reflection_table[t]]
-        below = 1 + ell[t_w0_ids[t]] == ell[w0_id]
-        if below != bool((t_w0 == w0_t).all()):
-            failures.append(f"reflection {t} vs w0: order/commutation")
+    w0 = longest_element(system).perm
+    w0_id = int(enum.ids_of_images(w0[None, simple])[0])
+    below_w0 = 1 + ell[left[:, w0_id]] == ell[w0_id]
+    for t in np.flatnonzero(below_w0 != (table[:, w0] == w0[table]).all(axis=1)):
+        failures.append(f"reflection {t} vs w0: order/commutation")
 
     @functools.cache
     def moved(i: int):
         return enum.element(i).moved_space()
 
-    @functools.cache
-    def fixed(i: int):
-        return enum.element(i).fixed_space()
-
-    invol_ids = np.nonzero(invol)[0]
+    fixes = _pointwise_fixers(system, perms[invol_ids])
+    ids = np.arange(n)
     for ui in invol_ids:
-        u = enum.element(int(ui))
+        u = enum.element(ui)
         u_perm = perms[ui]
-        pids = enum.ids_of_images(inv_all[:, u_perm[simple]])
+        uw = ids
+        for s in reversed(enum.words[ui]):
+            uw = left[simple[s]][uw]
+        pids = enum.inverse_ids[uw]  # id(w^-1 u) = id((u w)^-1), as u = u^-1
         below = ell + ell[pids] == ell[ui]
 
-        for t in range(n_pos):
-            t_u = system.reflection_table[t][u_perm]
-            u_t = u_perm[system.reflection_table[t]]
-            criterion = bool((t_u == u_t).all()) and u_perm[t] >= n_pos
-            if bool(below[refl_ids[t]]) != criterion:
-                failures.append(
-                    f"id {ui}: reflection {t} commutation/inversion "
-                    "criterion"
-                )
+        commutes = (table[:, u_perm] == u_perm[table]).all(axis=1)
+        criterion = commutes & (u_perm[:n_pos] >= n_pos)
+        for t in np.flatnonzero(below[left[:, 0]] != criterion):
+            failures.append(
+                f"id {ui}: reflection {t} commutation/inversion criterion"
+            )
 
-        for vi in np.nonzero(below)[0]:
+        fix_u = u.fixed_space()
+        for vi in np.flatnonzero(below).tolist():
             if not invol[vi]:
                 failures.append(f"id {vi} below id {ui} not an involution")
                 continue
-            uv = u_perm[perms[vi]]
-            vu = perms[vi][u_perm]
-            if not (uv == vu).all():
+            if not (u_perm[perms[vi]] == perms[vi][u_perm]).all():
                 failures.append(f"id {vi} below id {ui} does not commute")
-            mov_v = moved(int(vi))
+            mov_v = moved(vi)
             mov_rest = moved(int(pids[vi]))
-            fix_u = fixed(int(ui))
             dims = mov_v.dim + mov_rest.dim + fix_u.dim
-            stacked = list(mov_v.basis) + list(mov_rest.basis) + list(
-                fix_u.basis
-            )
+            stacked = [*mov_v.basis, *mov_rest.basis, *fix_u.basis]
             if dims != system.rank or rank(stacked) != system.rank:
                 failures.append(f"ids {vi},{ui}: no direct sum split")
 
-        members = _member_ids(closures[ui], enum)
-        fix_u = fixed(int(ui))
-        for vi in range(n):
-            a = bool(below[vi])
-            b = bool(invol[vi]) and vi in members
-            c = bool(invol[vi]) and fixed(vi).contains_subspace(fix_u)
-            if not (a == b == c):
-                failures.append(
-                    f"ids {vi},{ui}: three-way interval criteria "
-                    f"{a}/{b}/{c}"
-                )
+        # the identity row keeps the list nonempty when u = 1
+        rows = [ids, *(left[b] for b in closures[ui].simple_system)]
+        in_closure = invol & (orbit_labels(rows) == 0)
+        fixing = np.zeros(n, dtype=bool)
+        fixing[invol_ids] = fixes(fix_u.basis)
+        for vi in np.flatnonzero((below != in_closure) | (in_closure != fixing)):
+            failures.append(
+                f"ids {vi},{ui}: three-way interval criteria "
+                f"{below[vi]}/{in_closure[vi]}/{fixing[vi]}"
+            )
 
         report = closure_map_report(u)
-        if not (
-            report["injective"]
-            and report["surjective"]
-            and report["order_isomorphism"]
-        ):
+        if not all(report[k] for k in ("injective", "surjective", "order_isomorphism")):
             failures.append(f"id {ui}: closure map report {report}")
 
         if ell[ui] <= 4:
             for tup in t_reduced_expressions(u):
                 if not check_T_reduced(system, tup):
                     failures.append(f"id {ui}: expression {tup} dependent")
-                for a_i in range(len(tup)):
-                    for b_i in range(a_i + 1, len(tup)):
-                        ta = system.reflection_table[tup[a_i]]
-                        tb = system.reflection_table[tup[b_i]]
-                        if not (ta[tb] == tb[ta]).all():
-                            failures.append(
-                                f"id {ui}: factors {tup[a_i]},{tup[b_i]} "
-                                "do not commute"
-                            )
+                for ta, tb in itertools.combinations(tup, 2):
+                    if not (table[ta][table[tb]] == table[tb][table[ta]]).all():
+                        failures.append(f"id {ui}: factors {ta},{tb} do not commute")
     return failures, n
 
 

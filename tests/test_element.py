@@ -343,6 +343,23 @@ def test_enumeration_peak_fits_the_lean_layout():
     assert held == layout
 
 
+def test_reflection_lengths_hold_one_conjugate_key_array_at_a_time():
+    # a system of its own with its keys sorted, then whole-group l_T under
+    # tracemalloc: per element an int64 id under each simple reflection,
+    # one generator's int16 conjugate keys, and 32 bytes for orbit_labels;
+    # all rank conjugate key arrays at once would pass this
+    system = RootSystem(named_coxeter_matrix("E6"), parse_label("E6"))
+    enum = enumerate_group(system)
+    enum.sorted_keys
+    tracemalloc.start()
+    try:
+        enum.reflection_lengths
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= enum.size * (8 * system.rank + 2 * system.rank + 32)
+
+
 def test_words_read_as_a_sequence_of_tuples():
     system = RootSystem.named("B3")
     enum = enumerate_group(system)
