@@ -21,7 +21,6 @@ from .classify import (
     is_good_type,
     lattice_by_classification,
     lattice_verdicts,
-    verify_involutive_list,
 )
 from .dihedral import Dihedral
 from .element import (
@@ -35,7 +34,7 @@ from .element import (
     reflection,
     simple_reflection,
 )
-from .field import FieldScalar, cos_pi_over
+from .field import FieldScalar
 from .oracles import (
     cayley_interval_elements,
     dyer_reflection_length,
@@ -85,7 +84,6 @@ __all__ = [
     "cayley_interval_elements",
     "check_T_reduced",
     "closure_of_roots",
-    "cos_pi_over",
     "counterexample_witness",
     "decompose_involution",
     "dyer_reflection_length",
@@ -115,5 +113,4 @@ __all__ = [
     "simple_reflection",
     "standard_parabolic",
     "t_reduced_expressions",
-    "verify_involutive_list",
 ]

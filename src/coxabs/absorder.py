@@ -204,14 +204,6 @@ class IntersectionFailure:
     p2: Parabolic
     intersection: Parabolic
 
-    def describe(self) -> str:
-        return (
-            f"closures of types {format_type_multiset(self.p1.type_labels)} "
-            f"and {format_type_multiset(self.p2.type_labels)} intersect in "
-            f"{format_type_multiset(self.intersection.type_labels)}, "
-            "whose longest element is not -Id on its span"
-        )
-
 
 def is_lattice_structural(u: Element):
     """Decide lattice-ness from closures alone, no interval order.

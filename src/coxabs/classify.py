@@ -31,7 +31,6 @@ from .dihedral import Dihedral
 from .element import (
     Element,
     identity,
-    longest_element,
     orbit_labels,
     simple_conjugates,
     simple_reflection,
@@ -115,7 +114,6 @@ def lattice_verdicts(u: Element):
 @dataclasses.dataclass(frozen=True)
 class InvolutionFactor:
     element: Element
-    parabolic: Parabolic
     label: TypeLabel
 
 
@@ -161,66 +159,8 @@ def decompose_involution(u: Element) -> InvolutionFactorization:
         labels = comp.type_labels
         if len(labels) != 1:  # pragma: no cover - components are irreducible
             raise ValueError("component is not irreducible")
-        factors.append(InvolutionFactor(central, comp, labels[0]))
+        factors.append(InvolutionFactor(central, labels[0]))
     return InvolutionFactorization(u, tuple(factors))
-
-
-# ----------------------------------------------------------------------
-# the -Id membership check per named type
-
-
-def verify_involutive_list(label) -> dict:
-    """Test the four equivalent descriptions of 'w0 acts as -Id' on one
-    named irreducible type and compare with the type table.
-
-    The four computed conditions: w0 is central; w0 acts as -Id on every
-    root; the closure of w0 is the full system; every reflection lies
-    below w0 in the absolute order.  Bond labels above 6 are answered by
-    the symbolic dihedral model.
-    """
-    if isinstance(label, str):
-        label = parse_label(label)
-    in_table = has_central_minus_id(label)
-    if label.family == "I" and label.bond > 6:
-        even = label.bond % 2 == 0
-        return {
-            "label": str(label),
-            "w0_central": even,
-            "w0_minus_id": even,
-            "closure_is_full": even,
-            "all_reflections_below_w0": even,
-            "conditions_agree": True,
-            "in_table": in_table,
-            "matches_table": even == in_table,
-        }
-    sys = RootSystem.named(label)
-    w0 = longest_element(sys)
-    central = all(
-        w0 * simple_reflection(sys, s) == simple_reflection(sys, s) * w0
-        for s in range(sys.rank)
-    )
-    minus_id = all(
-        int(w0.perm[i]) == sys.negate(i) for i in range(sys.n_roots)
-    )
-    closure_full = parabolic_closure(w0).mask == (1 << sys.n_pos) - 1
-    lw0 = w0.reflection_length()
-    all_below = True
-    for t in range(sys.n_pos):
-        tw0 = Element(sys, sys.reflection_table[t][w0.perm])
-        if 1 + tw0.reflection_length() != lw0:
-            all_below = False
-            break
-    conditions = [central, minus_id, closure_full, all_below]
-    return {
-        "label": str(label),
-        "w0_central": central,
-        "w0_minus_id": minus_id,
-        "closure_is_full": closure_full,
-        "all_reflections_below_w0": all_below,
-        "conditions_agree": len(set(conditions)) == 1,
-        "in_table": in_table,
-        "matches_table": minus_id == in_table,
-    }
 
 
 # ----------------------------------------------------------------------

@@ -165,7 +165,8 @@ class Dihedral:
         """The elements of [1, u] for an involution u, in rank order.
 
         Raises CapExceededError, before listing any member, when the n x n
-        order matrix would pass TABLE_CAP_BYTES; below the half turn of
+        order matrix and the n down-sets of n bits that lattice_bruteforce
+        builds from it would pass TABLE_CAP_BYTES; below the half turn of
         even m, n = m + 2.
         """
         if not self.is_involution(u):
@@ -173,7 +174,7 @@ class Dihedral:
         kind = self.closure_kind(u)
         n = {"trivial": 1, "axis": 2, "full": self.m + 2}[kind[0]]
         cap = rootsystem.TABLE_CAP_BYTES
-        if n * n > cap:
+        if n * (n + (n + 7) // 8) > cap:
             raise CapExceededError(
                 f"the interval below {u.describe()} in I2({self.m}) has {n} "
                 f"elements, whose order matrix would pass the cap of {cap} bytes"
@@ -191,7 +192,9 @@ class Dihedral:
         """[1, u] for an involution u: elements, ranks, order matrix."""
         members = self._members(u)
         ranks = np.array([self.reflection_length(x) for x in members], dtype=np.int16)
-        leq = np.array([[self.leq_T(a, b) for b in members] for a in members])
+        leq = np.empty((len(members), len(members)), dtype=np.bool_)
+        for row, a in zip(leq, members):
+            row[:] = [self.leq_T(a, b) for b in members]
         return members, ranks, leq
 
     def lattice_bruteforce(self, u: DihedralElement):

@@ -182,7 +182,8 @@ def simple_reflection(system: RootSystem, s: int) -> Element:
 
 def reflection(system: RootSystem, t: int) -> Element:
     """The reflection along root index t (positive or negative)."""
-    return Element(system, system.reflection_perm(t))
+    row = t if t < system.n_pos else t - system.n_pos
+    return Element(system, system.reflection_table[row])
 
 
 def from_word(system: RootSystem, word) -> Element:

@@ -192,21 +192,3 @@ ONE = FieldScalar.from_rational(1)
 HALF = FieldScalar.from_rational(1, 2)
 PHI = FieldScalar((_Q0, _Q1))
 
-
-def cos_pi_over(m: int) -> FieldScalar:
-    """Exact cos(pi/m) for m in {1, 2, 3, 5}.
-
-    cos(pi/5) = phi/2 is the golden-ratio half; the others are the
-    degenerate -1, then 0 and 1/2.  cos(pi/4) = sqrt2/2 and
-    cos(pi/6) = sqrt3/2 lie outside Q(phi): Cartan-normalized roots never
-    need them, since a bond of 4 or 6 joins roots of different lengths.
-    """
-    if m == 1:
-        return -ONE
-    if m == 2:
-        return ZERO
-    if m == 3:
-        return HALF
-    if m == 5:
-        return PHI / 2
-    raise ValueError(f"cos(pi/{m}) is outside the field Q(phi)")

@@ -7,7 +7,8 @@ its pivots and annihilator() gives an integer basis of their null space.
 The FieldScalar rank, rref, kernel and Subspace work over Q(phi),
 fraction free with one normalization pass at the end, and are the
 reference the tests and verify compare against.  A Subspace is kept in
-reduced row echelon form, so equality is a tuple comparison.
+reduced row echelon form, so equality is a tuple comparison and
+membership one pass of elimination against its rows.
 """
 
 from __future__ import annotations
@@ -314,26 +315,6 @@ class Subspace:
 
     def contains_subspace(self, other: Subspace) -> bool:
         return all(self.contains(v) for v in other.basis)
-
-    def intersect(self, other: Subspace) -> Subspace:
-        """Zassenhaus block elimination."""
-        n = self.ambient_dim
-        block = []
-        for u in self.basis:
-            block.append(list(u) + list(u))
-        for w in other.basis:
-            block.append(list(w) + [ZERO] * n)
-        _forward_eliminate(block)
-        inter = []
-        for row in block:
-            if not any(row[:n]) and any(row[n:]):
-                inter.append(row[n:])
-        return Subspace.from_vectors(inter, n) if inter else Subspace((), n)
-
-    def sum(self, other: Subspace) -> Subspace:
-        return Subspace.from_vectors(
-            [list(v) for v in self.basis + other.basis], self.ambient_dim
-        )
 
     def __eq__(self, other) -> bool:
         return (

@@ -182,9 +182,8 @@ class Parabolic:
 
         For closed sets P = Phi&U and Q = Phi&U', every root of
         span(P&Q) lies in U and U' and hence already in P&Q, so the
-        bitwise AND is again closed and spans the intersection subspace.
-        The subspace route (Zassenhaus on the spans) gives the same
-        subgroup and is kept as a cross-check in the test suite.
+        bitwise AND is again closed and spans the intersection subspace;
+        the test suite checks both against the spans.
         """
         if self.system is not other.system:
             raise ValueError("parabolics live in different systems")

@@ -596,10 +596,6 @@ class RootSystem:
         """Index of the negative of a root index."""
         return idx + self.n_pos if idx < self.n_pos else idx - self.n_pos
 
-    def reflection_perm(self, t: int) -> np.ndarray:
-        """Permutation of root indices for the reflection along root t."""
-        return self.reflection_table[t if t < self.n_pos else t - self.n_pos]
-
     @cached_property
     def roots(self) -> tuple:
         """Reference view: each root as a tuple of FieldScalar coordinates,

@@ -178,6 +178,15 @@ def _involutions(name: str) -> list[Element]:
     return enumerate_involutions(Parabolic(system, (1 << system.n_pos) - 1))
 
 
+def _sweep(lines: list[str], name: str, outcomes: list) -> int:
+    """The failures of one group in a sweep check, whose outcomes hold a
+    failure line or None per case checked; the first three failure lines
+    go to lines, after the group name."""
+    failed = [line for line in outcomes if line is not None]
+    lines.extend(f"{name}: {line}" for line in failed[:3])
+    return len(failed)
+
+
 def _w0_verdicts(name: str) -> tuple[bool, bool, bool]:
     """The three verdicts below the longest element of the named type."""
     return lattice_verdicts(longest_element(RootSystem.named(name)))[0]
@@ -293,25 +302,20 @@ def check_classification_sweep(deep: bool = False):
     lines: list[str] = []
     ok = True
     for name in DEEP_SWEEP_TYPES if deep else SWEEP_TYPES:
-        count = 0
-        lattices = 0
-        disagreements = 0
-        for u in _involutions(name):
-            (brute, structural, classified), _ = lattice_verdicts(u)
-            count += 1
-            lattices += int(classified)
-            if not brute == structural == classified:
-                disagreements += 1
-                if disagreements <= 3:
-                    lines.append(
-                        f"{name}: disagreement at involution with word "
-                        f"{u.reduced_word()}: brute={brute} "
-                        f"structural={structural} table={classified}"
-                    )
-        ok = ok and disagreements == 0
+        verdicts = [(u, lattice_verdicts(u)[0]) for u in _involutions(name)]
+        lattices = sum(classified for _, (_, _, classified) in verdicts)
+        outcomes = [
+            None
+            if brute == structural == classified
+            else f"disagreement at involution with word {u.reduced_word()}: "
+            f"brute={brute} structural={structural} table={classified}"
+            for u, (brute, structural, classified) in verdicts
+        ]
+        bad = _sweep(lines, name, outcomes)
+        ok = ok and not bad
         lines.append(
-            f"{name}: {count} involutions, {lattices} lattice intervals, "
-            f"{disagreements} disagreements"
+            f"{name}: {len(outcomes)} involutions, {lattices} lattice intervals, "
+            f"{bad} disagreements"
         )
     if not deep:
         lines.append("E6 skipped (enable deep)")
@@ -330,24 +334,17 @@ def check_dyer_agreement():
     for name, cap in DYER_SCOPES:
         system = RootSystem.named(name)
         enum = enumerate_group(system)
-        ell = enum.reflection_lengths
-        checked = 0
-        mismatches = 0
-        for i in range(enum.size):
-            word = enum.words[i]
-            if cap is not None and len(word) > cap:
-                continue
-            checked += 1
-            if dyer_reflection_length(system, word) != int(ell[i]):
-                mismatches += 1
-                if mismatches <= 3:
-                    lines.append(f"{name}: mismatch at word {word}")
-        ok = ok and mismatches == 0
+        outcomes = [
+            None
+            if dyer_reflection_length(system, word) == ell
+            else f"mismatch at word {word}"
+            for word, ell in zip(enum.words, enum.reflection_lengths.tolist())
+            if cap is None or len(word) <= cap
+        ]
         scope = "all elements" if cap is None else f"word length <= {cap}"
-        lines.append(
-            f"{name}: {checked} elements ({scope}), "
-            f"{mismatches} mismatches"
-        )
+        bad = _sweep(lines, name, outcomes)
+        ok = ok and not bad
+        lines.append(f"{name}: {len(outcomes)} elements ({scope}), {bad} mismatches")
     return ok, lines
 
 
@@ -567,19 +564,15 @@ def check_interval_oracle(deep: bool = False):
     lines: list[str] = []
     ok = True
     for name in SMALL_GROUP_TYPES:
-        checked = 0
-        bad = 0
-        for u in _involutions(name):
-            same, _ = _interval_matches_oracle(u)
-            checked += 1
-            if not same:
-                bad += 1
-                if bad <= 3:
-                    lines.append(
-                        f"{name}: oracle mismatch at {u.reduced_word()}"
-                    )
-        ok = ok and bad == 0
-        lines.append(f"{name}: {checked} involutions, {bad} mismatches")
+        outcomes = [
+            None
+            if _interval_matches_oracle(u)[0]
+            else f"oracle mismatch at {u.reduced_word()}"
+            for u in _involutions(name)
+        ]
+        bad = _sweep(lines, name, outcomes)
+        ok = ok and not bad
+        lines.append(f"{name}: {len(outcomes)} involutions, {bad} mismatches")
     if deep:
         system = RootSystem.named("H4")
         same, detail = _interval_matches_oracle(longest_element(system))
@@ -633,32 +626,20 @@ def check_factor_product_law(deep: bool = False):
     lines: list[str] = []
     ok = True
     for name in DEEP_SWEEP_TYPES if deep else SWEEP_TYPES:
-        checked = 0
-        bad = 0
-        for u in _involutions(name):
-            factorization = decompose_involution(u)
-            if len(factorization.factors) < 2:
-                continue
-            checked += 1
-            product_size = 1
-            for factor in factorization.factors:
-                product_size *= interval_of_involution(factor.element).size
-            good = (
-                factorization.product() == u
-                and factorization.factor_lengths_add()
-                and factorization.factors_commute()
-                and interval_of_involution(u).size == product_size
-            )
-            if not good:
-                bad += 1
-                if bad <= 3:
-                    lines.append(
-                        f"{name}: product law fails at {u.reduced_word()}"
-                    )
-        ok = ok and bad == 0
-        lines.append(
-            f"{name}: {checked} reducible closures, {bad} failures"
-        )
+        outcomes = [
+            None
+            if f.product() == f.u
+            and f.factor_lengths_add()
+            and f.factors_commute()
+            and interval_of_involution(f.u).size
+            == math.prod(interval_of_involution(x.element).size for x in f.factors)
+            else f"product law fails at {f.u.reduced_word()}"
+            for f in map(decompose_involution, _involutions(name))
+            if len(f.factors) >= 2
+        ]
+        bad = _sweep(lines, name, outcomes)
+        ok = ok and not bad
+        lines.append(f"{name}: {len(outcomes)} reducible closures, {bad} failures")
     if not deep:
         lines.append("E6 skipped (enable deep)")
     return ok, lines

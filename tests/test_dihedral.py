@@ -1,5 +1,9 @@
 """Symbolic dihedral groups, checked against the geometric route where both exist."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from coxabs import rootsystem
@@ -81,12 +85,32 @@ def test_oversized_interval_is_refused_before_listing(monkeypatch):
     group = Dihedral(8)
     half_turn = group.rotation(4)
     monkeypatch.setattr(group, "involutions", lambda: pytest.fail("listed"))
-    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 99)  # 10 x 10 = 100
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 119)  # 10 x (10 + 2) = 120
     with pytest.raises(CapExceededError):
         group.interval(half_turn)
     monkeypatch.undo()
-    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 100)
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 120)
     assert len(group.interval(half_turn)[0]) == 10
+
+
+# VmHWM starts afresh at exec; ru_maxrss would count the forking pytest's RSS
+RSS_GROWTH = """
+from coxabs.dihedral import Dihedral
+def kib(field):
+    return int(open("/proc/self/status").read().split(field)[1].split()[0])
+group = Dihedral(2000)
+before = kib("VmRSS:")
+assert group.verdicts(group.longest_element()) == (True, True, True)
+print(1024 * (kib("VmHWM:") - before))
+"""
+
+
+def test_symbolic_interval_stays_within_the_bytes_its_cap_counts():
+    # 2002 members: the bytes the cap counts plus 4 MiB of slack
+    src = os.path.dirname(os.path.dirname(rootsystem.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.check_output([sys.executable, "-c", RSS_GROWTH], env=env)
+    assert int(out) <= 2002 * (2002 + 251) + 4 * 2**20
 
 
 def test_closure_kinds():

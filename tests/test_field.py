@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from coxabs.field import HALF, ONE, PHI, ZERO, FieldScalar, cos_pi_over
+from coxabs.field import HALF, ONE, PHI, ZERO, FieldScalar
 
 SQRT5 = PHI + PHI - ONE
 
@@ -82,19 +82,6 @@ def test_sign_of_tight_combination():
         assert y.sign() == (-1) ** n
 
 
-def test_cos_pi_over_table():
-    assert cos_pi_over(1) == -ONE
-    assert cos_pi_over(2) == ZERO
-    assert cos_pi_over(3) == HALF
-    assert cos_pi_over(5) == (ONE + SQRT5) / 4
-
-
-def test_cos_pi_over_rejects_out_of_field_bonds():
-    for m in (4, 6, 7):
-        with pytest.raises(ValueError):
-            cos_pi_over(m)
-
-
 def test_comparison_matches_floats():
     rng = random.Random(11)
     values = [ZERO, ONE, HALF, PHI, SQRT5, PHI - ONE]
@@ -114,4 +101,4 @@ def test_coerce_accepts_ints_and_scalars():
 
 def test_hash_consistent_with_eq():
     assert hash(ONE + ONE) == hash(rational(2))
-    assert len({PHI / 2, cos_pi_over(5)}) == 1
+    assert len({PHI / 2, (ONE + SQRT5) / 4}) == 1

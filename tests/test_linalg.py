@@ -95,26 +95,6 @@ def test_subspace_membership():
     assert not space.contains([ONE, ZERO, ZERO])
 
 
-def test_subspace_intersection():
-    # two planes in 3-space meet in a line
-    xy = Subspace.from_vectors([[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]], 3)
-    yz = Subspace.from_vectors([[ZERO, ONE, ZERO], [ZERO, ZERO, ONE]], 3)
-    line = xy.intersect(yz)
-    assert line.dim == 1
-    assert line.contains([ZERO, ONE, ZERO])
-    assert xy.contains_subspace(line)
-    assert yz.contains_subspace(line)
-
-
-def test_subspace_sum_and_dimension_formula():
-    a = Subspace.from_vectors([[ONE, ZERO, ZERO]], 3)
-    b = Subspace.from_vectors([[HALF, HALF, ZERO]], 3)
-    total = a.sum(b)
-    assert total.dim == 2
-    assert a.intersect(b).dim == 0
-    assert total.contains([ZERO, ONE, ZERO])
-
-
 def test_subspace_equality_ignores_basis_choice():
     a = Subspace.from_vectors([[ONE, ONE], [ONE, ZERO]], 2)
     b = Subspace.from_vectors([[ZERO, ONE], [ONE, ZERO]], 2)

@@ -219,19 +219,21 @@ def test_verdicts_run_no_form_arithmetic(name, monkeypatch):
     assert calls["mul"] > 0
 
 
-def test_intersection_is_mask_and_and_matches_span_route():
-    system = RootSystem.named("B4")
+@pytest.mark.parametrize("name", ["B4", "F4", "H4"])
+def test_intersection_is_mask_and_and_matches_span_route(name):
+    system = RootSystem.named(name)
     p = standard_parabolic(system, [0, 1, 2])
     q = standard_parabolic(system, [1, 2, 3])
     inter = p.intersect(q)
     assert inter.mask == p.mask & q.mask
-    # cross-check against the subspace intersection
-    span_inter = p.span.intersect(q.span)
+    # spans U, U': the roots in both; dim(U & U') = dim U + dim U' - dim(U + U')
     roots_in_span = [
         t for t in range(system.n_pos)
-        if span_inter.contains(system.roots[t])
+        if p.span.contains(system.roots[t]) and q.span.contains(system.roots[t])
     ]
     assert list(inter.root_indices) == roots_in_span
+    assert p.span.contains_subspace(inter.span) and q.span.contains_subspace(inter.span)
+    assert inter.rank == p.rank + q.rank - linalg.rank([*p.span.basis, *q.span.basis])
     assert inter.is_closed()
 
 
