@@ -290,7 +290,7 @@ def dihedral_involution_class_table(m: int) -> list[dict]:
             word,
             size,
             group.reflection_length(rep),
-            group.closure_type_string(group.closure_kind(rep)),
+            group.closure_type_string(group.closure_mask(rep)),
             group.verdicts(rep),
         )
         for (rep, word), size in zip(reps, sizes)

@@ -4,10 +4,11 @@ The geometric route needs the root system inside the field Q(phi), which
 limits it to m <= 6.  A dihedral group is small enough to handle purely
 combinatorially instead: elements are rotation/reflection symbols over
 Z_m with the usual composition rules, reflection length is 0, 1 or 2,
-and parabolic closures are the trivial subgroup, a single reflection
-axis, or the whole group.  The same three lattice tests as in the
-geometric case are mirrored here on the symbolic elements, so intervals
-of I2(m) can be checked for any m.
+and a parabolic closure is a mask over the m reflection axes, as
+Parabolic.mask is over the positive roots: no axis (the trivial
+subgroup), one axis, or all of them (the whole group), intersecting by &.
+The same three lattice tests as in the geometric case are mirrored here
+on the symbolic elements, so intervals of I2(m) can be checked for any m.
 """
 
 from __future__ import annotations
@@ -122,42 +123,27 @@ class Dihedral:
 
     # -- parabolic closures -------------------------------------------------
 
-    def closure_kind(self, a: DihedralElement):
-        """The parabolic closure, named: ("trivial",), ("axis", j) for one
-        reflection subgroup, or ("full",) for the whole group (a nontrivial
-        rotation fixes only the origin)."""
-        if a == self.identity:
-            return ("trivial",)
+    def closure_mask(self, a: DihedralElement) -> int:
+        """The parabolic closure as a mask over the reflection axes: 0 for
+        the identity, bit k for the reflection f_k, and every axis for a
+        nontrivial rotation (which fixes only the origin)."""
         if a.is_reflection:
-            return ("axis", a.k)
-        return ("full",)
+            return 1 << a.k
+        return 0 if a.k == 0 else (1 << self.m) - 1
 
-    def closure_is_involutive(self, kind) -> bool:
+    def closure_is_involutive(self, mask: int) -> bool:
         """Whether the longest element of the subgroup is -Id on its span."""
-        if kind[0] == "trivial" or kind[0] == "axis":
-            return True
-        return self.m % 2 == 0
+        return mask.bit_count() < 2 or self.m % 2 == 0
 
-    def closure_type_string(self, kind) -> str:
-        if kind[0] == "trivial":
-            return "trivial"
-        if kind[0] == "axis":
-            return "A1"
+    def closure_type_string(self, mask: int) -> str:
+        axes = mask.bit_count()
+        if axes < 2:
+            return ("trivial", "A1")[axes]
         if self.m == 2:
             return format_type_multiset(
                 [make_label("A", 1), make_label("A", 1)]
             )
         return str(make_label("I", 2, self.m))
-
-    def intersect_kinds(self, p, q):
-        if p == q:
-            return p
-        if p[0] == "full":
-            return q
-        if q[0] == "full":
-            return p
-        # two distinct axes, or an axis against the trivial subgroup
-        return ("trivial",)
 
     # -- intervals and the three lattice tests ----------------------------------
 
@@ -171,20 +157,15 @@ class Dihedral:
         """
         if not self.is_involution(u):
             raise ValueError("interval construction requires an involution top")
-        kind = self.closure_kind(u)
-        n = {"trivial": 1, "axis": 2, "full": self.m + 2}[kind[0]]
+        axes = self.closure_mask(u).bit_count()
+        n = axes + 1 if axes < 2 else self.m + 2
         cap = rootsystem.TABLE_CAP_BYTES
         if n * (n + (n + 7) // 8) > cap:
             raise CapExceededError(
                 f"the interval below {u.describe()} in I2({self.m}) has {n} "
                 f"elements, whose order matrix would pass the cap of {cap} bytes"
             )
-        if kind[0] == "trivial":
-            members = [self.identity]
-        elif kind[0] == "axis":
-            members = [self.identity, u]
-        else:
-            members = self.involutions()
+        members = [self.identity, u][:n] if axes < 2 else self.involutions()
         members.sort(key=lambda x: (self.reflection_length(x), x))
         return members
 
@@ -207,22 +188,19 @@ class Dihedral:
         return False, (members[failure[0]], members[failure[1]])
 
     def lattice_structural(self, u: DihedralElement):
-        kinds = [self.closure_kind(x) for x in self._members(u)]
-        for j in range(len(kinds)):
+        masks = [self.closure_mask(x) for x in self._members(u)]
+        for j in range(len(masks)):
             for i in range(j):
-                inter = self.intersect_kinds(kinds[i], kinds[j])
+                inter = masks[i] & masks[j]
                 if not self.closure_is_involutive(inter):
-                    return False, (kinds[i], kinds[j], inter)
+                    return False, (masks[i], masks[j], inter)
         return True, None
 
     def lattice_by_classification(self, u: DihedralElement) -> bool:
         from .classify import is_good_type  # deferred: classify imports this module
 
-        kind = self.closure_kind(u)
-        if kind[0] == "trivial" or kind[0] == "axis":
-            return True
-        if self.m == 2:
-            return True  # two commuting A1 components
+        if self.closure_mask(u).bit_count() < 2 or self.m == 2:
+            return True  # no axis, one axis, or two commuting A1 components
         return is_good_type(make_label("I", 2, self.m))
 
     def verdicts(self, u: DihedralElement) -> tuple[bool, bool, bool]:

@@ -463,7 +463,7 @@ class RootSystem:
             cartan[i].append((j, -p, -q))
             cartan[j].append((i, -p // ratio, -q // ratio))
         self._cartan = cartan
-        found, images = self._orbit_closure(n_roots)
+        found, images, parents = self._orbit_closure(n_roots)
         self.int_degree = 2 if any(any(r[1::2]) for r in found) else 1
         # by height, then coordinates, each as a pair (a, b) = a + b*phi
         key = cmp_to_key(_phi_order)
@@ -480,7 +480,9 @@ class RootSystem:
         # the simple roots are the first n found; an index array, so that
         # perm[simple_idx] reads off their images
         self.simple_idx = index[:n].copy()
-        self.reflection_table = self._build_reflection_table(images[order], index)
+        self.reflection_table = self._build_reflection_table(
+            images[order], index, parents
+        )
         self.int_rows = tuple(
             (r, tuple(x for a, b in zip(r[::2], r[1::2]) for x in (b, a + b)))
             if self.int_degree == 2
@@ -515,10 +517,12 @@ class RootSystem:
         new[2 * s + 1] -= db
         return tuple(new)
 
-    def _orbit_closure(self, n_roots: int) -> tuple[list, np.ndarray]:
-        """The positive flat roots, simple roots first, and their images
-        under the simple reflections: row k of the array holds, per s, the
-        position of s(root k) in the list, or -1 where s sends a_s to -a_s.
+    def _orbit_closure(self, n_roots: int) -> tuple[list, np.ndarray, list]:
+        """The positive flat roots, simple roots first, their images under
+        the simple reflections, and where each later root came from: row k
+        of the array holds, per s, the position of s(root k) in the list, or
+        -1 where s sends a_s to -a_s, and parents[j - rank] is the (k, s)
+        whose image first found root j.
 
         s permutes the positive roots other than a_s, so the walk stays
         among the positives, which must be exactly the n_roots / 2 of the
@@ -527,7 +531,7 @@ class RootSystem:
         n = self.rank
         found = [tuple(int(k == 2 * s) for k in range(2 * n)) for s in range(n)]
         position = {r: k for k, r in enumerate(found)}
-        images = []
+        images, parents = [], []
         for k, root in enumerate(found):  # found grows during the walk
             row = []
             for s in range(n):
@@ -539,6 +543,7 @@ class RootSystem:
                 if j is None:
                     j = position[img] = len(found)
                     found.append(img)
+                    parents.append((k, s))
                     if 2 * len(found) > n_roots:
                         raise RecognitionError(
                             f"the orbit of the simple roots passes the {n_roots} "
@@ -556,38 +561,24 @@ class RootSystem:
                 f"the {n_roots // 2} positive roots of the recognized type, "
                 "or one with a negative coordinate"
             )
-        return found, np.array(images, dtype=np.intp)
+        return found, np.array(images, dtype=np.intp), parents
 
-    def _build_reflection_table(self, images: np.ndarray, index: np.ndarray):
+    def _build_reflection_table(self, images: np.ndarray, index: np.ndarray, parents):
         """The reflection table from the closure's images of the positive
-        roots (images, rows in index order), using s(-r) = -s(r)."""
+        roots (images, rows in index order), using s(-r) = -s(r), and the
+        closure's parents (positions in discovery order)."""
         n_pos, n_roots = self.n_pos, self.n_roots
         table = np.full((n_pos, n_roots), -1, dtype=PERM_DTYPE)
-        simple_perms = {}
-        for s in range(self.rank):
-            t = int(self.simple_idx[s])
+        for s, t in enumerate(self.simple_idx):
             col = images[:, s]  # -1 only where s sends a_s to -a_s
             image = np.where(col < 0, t + n_pos, index[col])
             table[t] = np.concatenate([image, (image + n_pos) % n_roots])
-            simple_perms[t] = table[t]
-        # remaining reflections by conjugation: the reflection along s(b)
-        # is s r_b s, so a breadth-first walk from the simples fills the
-        # table with pure permutation composition
-        queue = list(simple_perms.keys())
-        seen = set(queue)
-        while queue:
-            t = queue.pop(0)
-            row_t = table[t]
-            for sp in simple_perms.values():
-                img = int(sp[t])
-                if img >= n_pos:
-                    img -= n_pos
-                if img not in seen:
-                    seen.add(img)
-                    table[img] = sp[row_t[sp]]
-                    queue.append(img)
-        if len(seen) != n_pos:  # pragma: no cover - connectivity always holds
-            raise RecognitionError("reflection table is incomplete")
+        # the reflection along s(b) is s r_b s, and every later root was
+        # found as s(b) for an earlier b, so in discovery order each row is
+        # pure permutation composition of a row already filled
+        for j, (k, s) in enumerate(parents, self.rank):
+            sp = table[self.simple_idx[s]]
+            table[index[j]] = sp[table[index[k]][sp]]
         return table
 
     # -- basic queries ---------------------------------------------------

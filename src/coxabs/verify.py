@@ -6,9 +6,10 @@ lattice deciders agree with the type-based verdict, the non-lattice
 types carry explicit root-level witnesses, the deletion oracle matches
 the fixed-space rank, the structure laws behind the closure map hold on
 every element of every small group, and the Cayley-graph oracle
-reproduces each interval poset edge for edge.  Everything returns
-CheckResult records so the command line tool and the test suite share
-one implementation.
+reproduces each interval poset edge for edge.  Each check body yields
+(passed, line) pairs in print order, and _check folds them into one
+CheckResult record, so a line and its verdict are written together and
+the command line tool and the test suite share one implementation.
 
 The structure laws read every product off one table per group, left[t, w]
 = id(t * w) for positive roots t and element ids w, built only here.
@@ -152,17 +153,20 @@ ALL_CHECKS: list = []
 
 
 def _check(name: str):
-    """Register a check body returning (passed, lines) under name.
+    """Register under name a check body yielding (passed, line) pairs.
 
     The registered function keeps the body's name and parameters and
-    returns a CheckResult timed around the body.
+    returns a CheckResult timed around the body: its lines in the order
+    yielded, passed when every pair passed (an info line yields True).
     """
 
     def register(body):
         @functools.wraps(body)
         def check(*args, **kwargs) -> CheckResult:
             start = time.perf_counter()
-            passed, lines = body(*args, **kwargs)
+            outcomes = list(body(*args, **kwargs))
+            passed = all(good for good, _ in outcomes)
+            lines = [line for _, line in outcomes]
             return CheckResult(name, passed, time.perf_counter() - start, lines)
 
         takes_deep = "deep" in inspect.signature(body).parameters
@@ -178,12 +182,13 @@ def _involutions(name: str) -> list[Element]:
     return enumerate_involutions(Parabolic(system, (1 << system.n_pos) - 1))
 
 
-def _sweep(lines: list[str], name: str, outcomes: list) -> int:
-    """The failures of one group in a sweep check, whose outcomes hold a
-    failure line or None per case checked; the first three failure lines
-    go to lines, after the group name."""
+def _sweep(name: str, outcomes: list):
+    """Yield, after the group name, the first three failure lines of one
+    group in a sweep check, whose outcomes hold a failure line or None per
+    case checked; return the failure count, for `yield from`."""
     failed = [line for line in outcomes if line is not None]
-    lines.extend(f"{name}: {line}" for line in failed[:3])
+    for line in failed[:3]:
+        yield False, f"{name}: {line}"
     return len(failed)
 
 
@@ -200,8 +205,6 @@ def check_lattice_positives():
     dihedral groups run through the symbolic model; I2(4) and I2(6) run
     through both the geometric and the symbolic route and must agree.
     """
-    lines: list[str] = []
-    ok = True
     for name in LATTICE_POSITIVE_TYPES:
         bond = int(name[3:-1]) if name.startswith("I2(") else None
         if bond is not None:
@@ -213,17 +216,12 @@ def check_lattice_positives():
             verdicts, route = _w0_verdicts(name), "geometric"
             if bond is not None:
                 if mirrored != verdicts:
-                    ok = False
-                    lines.append(
-                        f"{name}: symbolic route disagrees: {mirrored}"
-                    )
+                    yield False, f"{name}: symbolic route disagrees: {mirrored}"
                 route = "geometric+symbolic"
-        ok = ok and all(verdicts)
-        lines.append(
+        yield all(verdicts), (
             f"{name} ({route}): brute={verdicts[0]} "
             f"structural={verdicts[1]} classification={verdicts[2]}"
         )
-    return ok, lines
 
 
 @_check("lattice negatives and witnesses")
@@ -234,8 +232,6 @@ def check_lattice_negatives():
     intersection has the expected type and is not involutive, so the
     central involutions of the pair have no meet.
     """
-    lines: list[str] = []
-    ok = True
     for name, expected in LATTICE_NEGATIVE_TYPES:
         verdicts = _w0_verdicts(name)
         witness = counterexample_witness(name)
@@ -246,13 +242,11 @@ def check_lattice_negatives():
             and witness.intersection_matches()
             and got == expected
         )
-        ok = ok and good
-        lines.append(
+        yield good, (
             f"{name}: brute={verdicts[0]} structural={verdicts[1]} "
             f"classification={verdicts[2]} witness intersection={got} "
             f"(expected {expected})"
         )
-    return ok, lines
 
 
 @_check("E7/E8 witnesses")
@@ -263,8 +257,6 @@ def check_e7_e8_witnesses():
     intersect in a type A3 subsystem, which is not involutive; this
     settles both types with root arithmetic alone.
     """
-    lines: list[str] = []
-    ok = True
     expected_pos = {"E7": 63, "E8": 120}
     for name in ("E7", "E8"):
         system = RootSystem.named(name)
@@ -283,12 +275,10 @@ def check_e7_e8_witnesses():
             and witness.intersection_matches()
             and refused
         )
-        ok = ok and good
-        lines.append(
+        yield good, (
             f"{name}: {system.n_pos} positive roots, pair of type "
             f"{p1_type}, intersection {got}, enumerated=no"
         )
-    return ok, lines
 
 
 @_check("classification sweep")
@@ -299,8 +289,6 @@ def check_classification_sweep(deep: bool = False):
     and the order-matrix verdict on every single involution; the sweep
     is exhaustive, not sampled.  deep adds E6.
     """
-    lines: list[str] = []
-    ok = True
     for name in DEEP_SWEEP_TYPES if deep else SWEEP_TYPES:
         verdicts = [(u, lattice_verdicts(u)[0]) for u in _involutions(name)]
         lattices = sum(classified for _, (_, _, classified) in verdicts)
@@ -311,15 +299,13 @@ def check_classification_sweep(deep: bool = False):
             f"brute={brute} structural={structural} table={classified}"
             for u, (brute, structural, classified) in verdicts
         ]
-        bad = _sweep(lines, name, outcomes)
-        ok = ok and not bad
-        lines.append(
+        bad = yield from _sweep(name, outcomes)
+        yield not bad, (
             f"{name}: {len(outcomes)} involutions, {lattices} lattice intervals, "
             f"{bad} disagreements"
         )
     if not deep:
-        lines.append("E6 skipped (enable deep)")
-    return ok, lines
+        yield True, "E6 skipped (enable deep)"
 
 
 @_check("deletion oracle agreement")
@@ -329,8 +315,6 @@ def check_dyer_agreement():
     Whole groups for A3, B3, H3; all elements with word length at most
     10 for A4, B4, D4, F4.  Exact equality, no sampling.
     """
-    lines: list[str] = []
-    ok = True
     for name, cap in DYER_SCOPES:
         system = RootSystem.named(name)
         enum = enumerate_group(system)
@@ -342,10 +326,8 @@ def check_dyer_agreement():
             if cap is None or len(word) <= cap
         ]
         scope = "all elements" if cap is None else f"word length <= {cap}"
-        bad = _sweep(lines, name, outcomes)
-        ok = ok and not bad
-        lines.append(f"{name}: {len(outcomes)} elements ({scope}), {bad} mismatches")
-    return ok, lines
+        bad = yield from _sweep(name, outcomes)
+        yield not bad, f"{name}: {len(outcomes)} elements ({scope}), {bad} mismatches"
 
 
 def _pointwise_fixers(system: RootSystem, perms: np.ndarray):
@@ -510,20 +492,17 @@ def check_order_laws(deep: bool = False):
     Exhaustive over the irreducible geometric types of order at most
     1152; deep adds all 14400 elements of H4.
     """
-    lines: list[str] = []
-    ok = True
     groups = SMALL_GROUP_TYPES + (("H4",) if deep else ())
     for name in groups:
         system = RootSystem.named(name)
         failures, size = _order_law_failures(system)
-        ok = ok and not failures
-        lines.extend(f"{name}: {f}" for f in failures[:5])
+        for f in failures[:5]:
+            yield False, f"{name}: {f}"
         if len(failures) > 5:
-            lines.append(f"{name}: ... {len(failures)} failures total")
-        lines.append(f"{name}: {size} elements, {len(failures)} failures")
+            yield False, f"{name}: ... {len(failures)} failures total"
+        yield not failures, f"{name}: {size} elements, {len(failures)} failures"
     if not deep:
-        lines.append("H4 skipped (enable deep)")
-    return ok, lines
+        yield True, "H4 skipped (enable deep)"
 
 
 def _interval_matches_oracle(u: Element) -> tuple[bool, str]:
@@ -561,8 +540,6 @@ def check_interval_oracle(deep: bool = False):
     Every involution of every small group; deep adds the longest element
     of H4, whose interval carries every involution of the group.
     """
-    lines: list[str] = []
-    ok = True
     for name in SMALL_GROUP_TYPES:
         outcomes = [
             None
@@ -570,17 +547,14 @@ def check_interval_oracle(deep: bool = False):
             else f"oracle mismatch at {u.reduced_word()}"
             for u in _involutions(name)
         ]
-        bad = _sweep(lines, name, outcomes)
-        ok = ok and not bad
-        lines.append(f"{name}: {len(outcomes)} involutions, {bad} mismatches")
+        bad = yield from _sweep(name, outcomes)
+        yield not bad, f"{name}: {len(outcomes)} involutions, {bad} mismatches"
     if deep:
         system = RootSystem.named("H4")
         same, detail = _interval_matches_oracle(longest_element(system))
-        ok = ok and same
-        lines.append(f"H4 w0: {detail}")
+        yield same, f"H4 w0: {detail}"
     else:
-        lines.append("H4 w0 skipped (enable deep)")
-    return ok, lines
+        yield True, "H4 w0 skipped (enable deep)"
 
 
 @_check("B2 Hurwitz orbits")
@@ -588,12 +562,10 @@ def check_hurwitz_b2():
     """The longest element of B2 has 4 minimal reflection factorizations
     falling into exactly 2 conjugation-move orbits, each orbit being the
     two orderings of one commuting pair."""
-    lines: list[str] = []
     system = RootSystem.named("B2")
     w0 = longest_element(system)
     expressions = t_reduced_expressions(w0)
     orbits = hurwitz_orbits(system, expressions)
-    ok = len(expressions) == 4 and len(orbits) == 2
     seen: set = set()
     for orbit in orbits:
         members = set(orbit)
@@ -602,17 +574,15 @@ def check_hurwitz_b2():
             tup for tup in expressions if set(tup) == pair
         }
         if len(orbit) != 2 or members != orderings:
-            ok = False
-            lines.append(f"orbit {sorted(members)} is not one pair's orderings")
+            yield False, f"orbit {sorted(members)} is not one pair's orderings"
         seen |= members
-    ok = ok and seen == set(expressions)
-    lines.append(
+    ok = len(expressions) == 4 and len(orbits) == 2 and seen == set(expressions)
+    yield ok, (
         f"{len(expressions)} expressions, {len(orbits)} orbits: "
         + "; ".join(
             "{" + ", ".join(map(str, sorted(orbit))) + "}" for orbit in orbits
         )
     )
-    return ok, lines
 
 
 @_check("factor product law")
@@ -623,8 +593,6 @@ def check_factor_product_law(deep: bool = False):
     component central involutions, their reflection lengths add to that
     of u, they commute, and the interval sizes multiply.
     """
-    lines: list[str] = []
-    ok = True
     for name in DEEP_SWEEP_TYPES if deep else SWEEP_TYPES:
         outcomes = [
             None
@@ -637,12 +605,10 @@ def check_factor_product_law(deep: bool = False):
             for f in map(decompose_involution, _involutions(name))
             if len(f.factors) >= 2
         ]
-        bad = _sweep(lines, name, outcomes)
-        ok = ok and not bad
-        lines.append(f"{name}: {len(outcomes)} reducible closures, {bad} failures")
+        bad = yield from _sweep(name, outcomes)
+        yield not bad, f"{name}: {len(outcomes)} reducible closures, {bad} failures"
     if not deep:
-        lines.append("E6 skipped (enable deep)")
-    return ok, lines
+        yield True, "E6 skipped (enable deep)"
 
 
 def _random_scalar(rng: random.Random) -> FieldScalar:
@@ -688,10 +654,9 @@ def check_field_kernel(trials: int = FIELD_TRIALS, seed: int = FIELD_SEED):
             bad += 1
             if not first:
                 first = f"trial {trial}: x={x!r} y={y!r}"
-    lines = [f"{trials} trials, {bad} failures"]
+    yield bad == 0, f"{trials} trials, {bad} failures"
     if first:
-        lines.append(first)
-    return bad == 0, lines
+        yield False, first
 
 
 def run_all(deep: bool = False, only: str | None = None) -> list[CheckResult]:

@@ -127,7 +127,8 @@ def test_involutive_list_matches_table(name):
         g = Dihedral(label.bond)
         w0 = g.longest_element()
         central = all(g.mul(w0, s) == g.mul(s, w0) for s in g.generators)
-        minus_id, full = w0 == g.rotation(g.m // 2), g.closure_kind(w0) == ("full",)
+        minus_id = w0 == g.rotation(g.m // 2)
+        full = g.closure_mask(w0) == (1 << g.m) - 1
         below = all(g.leq_T(g.reflection(j), w0) for j in range(g.m))
     else:
         system = RootSystem.named(label)

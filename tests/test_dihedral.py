@@ -113,22 +113,31 @@ def test_symbolic_interval_stays_within_the_bytes_its_cap_counts():
     assert int(out) <= 2002 * (2002 + 251) + 4 * 2**20
 
 
-def test_closure_kinds():
+def test_closure_masks():
+    # one bit per reflection axis, as Parabolic.mask has per positive root
     group = Dihedral(6)
-    assert group.closure_kind(group.identity) == ("trivial",)
-    assert group.closure_kind(group.reflection(2)) == ("axis", 2)
-    assert group.closure_kind(group.rotation(3)) == ("full",)
-    assert group.closure_type_string(("full",)) == "I2(6)"
+    assert group.closure_mask(group.identity) == 0
+    assert group.closure_mask(group.reflection(2)) == 0b000100
+    assert group.closure_mask(group.rotation(3)) == 0b111111
+    assert [group.closure_type_string(k) for k in (0, 0b100, 0b111111)] == [
+        "trivial", "A1", "I2(6)"
+    ]
+    assert Dihedral(2).closure_type_string(0b11) == "A1 x A1"
 
 
-def test_intersect_kinds():
+def test_closure_masks_intersect_by_and():
+    # the whole group, the axis of f1 and the axis of f5
     group = Dihedral(8)
-    full = ("full",)
-    a = ("axis", 1)
-    b = ("axis", 5)
-    assert group.intersect_kinds(full, a) == a
-    assert group.intersect_kinds(a, b) == ("trivial",)
-    assert group.intersect_kinds(a, a) == a
+    full, a, b = (
+        group.closure_mask(x)
+        for x in (group.rotation(3), group.reflection(1), group.reflection(5))
+    )
+    assert full & a == a
+    assert a & b == 0
+    assert a & a == a
+    assert all(group.closure_is_involutive(k) for k in (0, a, full))
+    odd = Dihedral(7)
+    assert [odd.closure_is_involutive(k) for k in (0, a, 127)] == [True, True, False]
 
 
 @pytest.mark.parametrize("m", [7, 8, 10])

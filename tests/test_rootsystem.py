@@ -231,6 +231,30 @@ def test_reflection_table_is_an_involution_on_roots():
             assert moved_out == 1
 
 
+@pytest.mark.parametrize(
+    "source", ["H3", "H4", "F4", "B5", "D6", "E6", "I2(5)", "I2(6)", "b2xa1.txt"]
+)
+def test_reflection_table_rows_are_the_reflections_of_the_form(source):
+    # row t sends root r to r - (2 B(r, t) / B(t, t)) t, on the reference roots
+    if source.endswith(".txt"):
+        system = RootSystem(matrix_file(source[:-4]))
+    else:
+        system = RootSystem.named(source)
+    roots = system.roots
+    index = {r: i for i, r in enumerate(roots)}
+    assert len(index) == system.n_roots
+    for t, root_t in enumerate(roots[: system.n_pos]):
+        form_t = [
+            sum((g * c for g, c in zip(row, root_t)), ZERO) for row in system.gram
+        ]
+        scale = 2 / sum((c * f for c, f in zip(root_t, form_t)), ZERO)
+        images = []
+        for r in roots:
+            k = scale * sum((c * f for c, f in zip(r, form_t)), ZERO)
+            images.append(index[tuple(c - k * ct for c, ct in zip(r, root_t))])
+        assert system.reflection_table[t].tolist() == images
+
+
 @pytest.mark.parametrize("name", ["B3", "F4", "H3", "H4", "I2(5)", "G2"])
 def test_positive_roots_sorted_by_height(name):
     # exact FieldScalar order on (height, coordinates) of the reference roots
