@@ -125,7 +125,7 @@ def interval_of_involution(u: Element) -> IntervalPoset:
     # key of every y t_k, COVER_BLOCK rows y at a time.  y t_k is one rank
     # off y, so it is a lower cover exactly when its id is smaller
     rows = np.array(p.root_indices, dtype=np.intp)[:, None]
-    reflections = sys.reflection_table[rows, sys.simple_idx]
+    reflections = sys.reflection_table[rows, sys.simple_idx].astype(np.intp)
     down, hasse = [1 << y for y in range(n)], []
     for lo in range(0, n, COVER_BLOCK):
         block = perms[lo : lo + COVER_BLOCK, reflections]

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import rootsystem
 from .absorder import first_meet_failure
-from .parabolic import mask_from_indices
-from .rootsystem import CapExceededError, format_type_multiset, make_label
+from .rootsystem import ROW_BLOCK, CapExceededError, format_type_multiset, make_label
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -170,19 +169,27 @@ class Dihedral:
         return members
 
     def interval(self, u: DihedralElement):
-        """[1, u] for an involution u: elements, ranks, order matrix."""
+        """[1, u] for an involution u: elements, ranks, order matrix.
+
+        leq[a, b] is leq_T's l_T(a) + l_T(a^-1 b) = l_T(b), ROW_BLOCK rows at
+        a time: a^-1 b is a reflection when just one of a and b is, and else
+        the rotation by +-(b.k - a.k), trivial exactly when a.k = b.k.
+        """
         members = self._members(u)
         ranks = np.array([self.reflection_length(x) for x in members], dtype=np.int16)
+        refl, k = np.array([(x.is_reflection, x.k) for x in members]).T
         leq = np.empty((len(members), len(members)), dtype=np.bool_)
-        for row, a in zip(leq, members):
-            row[:] = [self.leq_T(a, b) for b in members]
+        for lo in range(0, len(members), ROW_BLOCK):
+            a = slice(lo, lo + ROW_BLOCK)
+            step = (k[a, None] != k) * np.int8(2)  # l_T of a^-1 b
+            step[refl[a, None] != refl] = 1
+            np.equal(ranks[a, None] + step, ranks, out=leq[a])
         return members, ranks, leq
 
     def lattice_bruteforce(self, u: DihedralElement):
         members, _, leq = self.interval(u)
         # members run in rank order, a linear extension, as the scan needs
-        down = [mask_from_indices(np.flatnonzero(col)) for col in leq.T]
-        failure = first_meet_failure(down)
+        failure = first_meet_failure(rootsystem.packed_masks(leq.T))
         if failure is None:
             return True, None
         return False, (members[failure[0]], members[failure[1]])

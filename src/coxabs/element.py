@@ -4,7 +4,9 @@ An element w is stored as the integer array perm with perm[i] the index
 of w(root_i).  Composition is a numpy gather and inversion an argsort,
 so group arithmetic is cheap even for groups with tens of thousands of
 elements.  Every perm has the one dtype rootsystem.PERM_DTYPE (int16,
-2 bytes per root), to which Element converts what it is given.  The
+2 bytes per root), to which Element converts what it is given; but an
+array that indexes in a per-call loop is intp, since numpy gathers about
+four times slower through an int16 index (see PERM_DTYPE).  The
 simple roots are a basis, so their images fix w: the key of an element,
 by which every dict of elements is indexed, is the bytes of
 perm[simple_idx], 2 * rank bytes, and w is the identity or an involution

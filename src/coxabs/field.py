@@ -189,6 +189,5 @@ class FieldScalar:
 
 ZERO = FieldScalar.from_rational(0)
 ONE = FieldScalar.from_rational(1)
-HALF = FieldScalar.from_rational(1, 2)
 PHI = FieldScalar((_Q0, _Q1))
 

@@ -43,8 +43,13 @@ from . import linalg
 from .field import FieldScalar, phi_sign
 
 #: the dtype of every permutation of root indices: the reflection table,
-#: the group table, involution rows and keys (Element.key)
+#: the group table, involution rows and keys (Element.key).  An index in a
+#: per-call loop is intp: numpy 2.4 gathers 60-120 entries in 2.0 us through
+#: an int16 index, 1.1 us casting it per call, 0.5 us through a ready intp row
 PERM_DTYPE = np.dtype(np.int16)
+
+#: rows per step of a blockwise pass, which bounds the step's temporaries
+ROW_BLOCK = 256
 
 #: largest reflection table (n_pos x n_roots PERM_DTYPE entries) a build
 #: will allocate, in bytes: A127 (16 256 roots) is the last A_n admitted
@@ -401,6 +406,17 @@ def _check_table_bytes(n_roots: int) -> None:
         )
 
 
+def packed_mask(flags: np.ndarray) -> int:
+    """A 1-D boolean array as a Python-int bitmask, bit k for entry k."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def packed_masks(flags: np.ndarray) -> list[int]:
+    """Each row of a 2-D boolean array, packed as packed_mask packs it."""
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def _phi_order(x: list, y: list) -> int:
     """Compare lists of pairs (a, b) lexicographically, each as a + b*phi."""
     for u, v in zip(x, y):
@@ -418,18 +434,18 @@ class RootSystem:
     lexicographically; index i + n_pos is the negative of index i.
 
     Production reads group_order (the product over the recognized
-    components), simple_idx, reflection_table (row t permutes all
-    root indices as the reflection along positive root t does), the
-    orthogonality and bond_between read off that table, and int_rows, the
-    input of the exact integer rank (packed on first use as packed_roots):
-    root i as int_degree rows.  With
-    every coordinate in Z a root is its own row (degree 1); otherwise it
-    gives the rows x and phi*x on the basis {1, phi}, a coordinate a + b*phi
-    putting [a, b] in the first and [b, a + b] in the second (degree 2,
-    twice the rank over Q(phi) as the rank over Q).  The reference view,
-    which tests and verify compare against, is roots (tuples of
-    FieldScalar), gram (the form on the simple roots) and bilinear; it is
-    built on first use.
+    components), simple_idx, reflection_table (row t permutes all root
+    indices as the reflection along positive root t does), the
+    orthogonal_masks, inversion_masks and bond_between read off that
+    table, negatives (n_pos + t, the index of -a_t, per positive t) and
+    int_rows, the input of the exact integer rank (packed on first use as
+    packed_roots): root i as int_degree rows.  With every coordinate in Z
+    a root is its own row (degree 1); otherwise it gives the rows x and
+    phi*x on the basis {1, phi}, a coordinate a + b*phi putting [a, b] in
+    the first and [b, a + b] in the second (degree 2, twice the rank over
+    Q(phi) as the rank over Q).  The reference view, which tests and
+    verify compare against, is roots (tuples of FieldScalar), gram (the
+    form on the simple roots) and bilinear; it is built on first use.
     """
 
     def __init__(self, matrix: CoxeterMatrix, label: TypeLabel | None = None):
@@ -489,6 +505,7 @@ class RootSystem:
             else (r[::2],)
             for r in flat
         )
+        self.negatives = np.arange(self.n_pos, self.n_roots, dtype=PERM_DTYPE)
         # row 0 of every positive root, which closures test against a span
         self.positive_rows = np.array(
             [rows[0] for rows in self.int_rows[: self.n_pos]], dtype=np.int64
@@ -583,10 +600,6 @@ class RootSystem:
 
     # -- basic queries ---------------------------------------------------
 
-    def negate(self, idx: int) -> int:
-        """Index of the negative of a root index."""
-        return idx + self.n_pos if idx < self.n_pos else idx - self.n_pos
-
     @cached_property
     def roots(self) -> tuple:
         """Reference view: each root as a tuple of FieldScalar coordinates,
@@ -635,20 +648,22 @@ class RootSystem:
         """Form value B(root_i, root_j), on the reference view."""
         return linalg.dot(self.gram, self.roots[i], self.roots[j])
 
-    @cached_property
-    def orthogonality(self) -> np.ndarray:
-        """Boolean matrix over positive roots: True where B(a, b) = 0.
-
-        s_a(b) = b - (2 B(a, b) / B(a, a)) a, so s_a fixes b exactly when
-        B(a, b) = 0: the matrix is read off the reflection table.
-        """
-        return self.reflection_table[:, : self.n_pos] == np.arange(self.n_pos)
+    def _table_masks(self, flags) -> tuple[int, ...]:
+        """flags of each reflection table row's positive columns, packed one
+        Python-int bitmask per row, ROW_BLOCK rows at a time."""
+        table, n_pos = self.reflection_table[:, : self.n_pos], self.n_pos
+        blocks = (table[lo : lo + ROW_BLOCK] for lo in range(0, n_pos, ROW_BLOCK))
+        return tuple(mask for block in blocks for mask in packed_masks(flags(block)))
 
     @cached_property
     def orthogonal_masks(self) -> tuple[int, ...]:
-        """Row t of orthogonality as a Python-int bitmask of positive roots."""
-        packed = np.packbits(self.orthogonality, axis=1, bitorder="little")
-        return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+        """Row t: the positive roots s_t fixes, the b with B(a_t, b) = 0."""
+        return self._table_masks(lambda rows: rows == np.arange(self.n_pos))
+
+    @cached_property
+    def inversion_masks(self) -> tuple[int, ...]:
+        """Row t: the positive roots that s_t sends negative, a_t among them."""
+        return self._table_masks(lambda rows: rows >= self.n_pos)
 
     def bond_between(self, i: int, j: int) -> int:
         """Bond label m of two distinct positive roots, read off the table.

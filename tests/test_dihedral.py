@@ -93,6 +93,16 @@ def test_oversized_interval_is_refused_before_listing(monkeypatch):
     assert len(group.interval(half_turn)[0]) == 10
 
 
+@pytest.mark.parametrize("m", range(2, 14))
+def test_interval_order_matrix_is_pairwise_leq_T(m):
+    # the whole-array additivity against one leq_T call per pair
+    group = Dihedral(m)
+    for u in group.involutions():
+        members, ranks, leq = group.interval(u)
+        assert ranks.tolist() == [group.reflection_length(x) for x in members]
+        assert leq.tolist() == [[group.leq_T(a, b) for b in members] for a in members]
+
+
 # VmHWM starts afresh at exec; ru_maxrss would count the forking pytest's RSS
 RSS_GROWTH = """
 from coxabs.dihedral import Dihedral

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from coxabs.field import HALF, ONE, PHI, ZERO, FieldScalar
+from coxabs.field import ONE, PHI, ZERO, FieldScalar
 
 SQRT5 = PHI + PHI - ONE
+HALF = FieldScalar.from_rational(1, 2)
 
 
 def rational(num, den=1):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from coxabs.field import HALF, ONE, PHI, ZERO, FieldScalar
+from coxabs.field import ONE, PHI, ZERO, FieldScalar
 from coxabs.linalg import (
     PackedRows,
     Subspace,
@@ -62,7 +62,8 @@ def test_positive_definite_gram():
     assert is_positive_definite(gram)
     # bond 5 next to bond 3 in rank 3 (H3) is definite, a second
     # bond 5 instead is not
-    h3 = [[ONE, -PHI / 2, ZERO], [-PHI / 2, ONE, -HALF], [ZERO, -HALF, ONE]]
+    half = FieldScalar.from_rational(1, 2)
+    h3 = [[ONE, -PHI / 2, ZERO], [-PHI / 2, ONE, -half], [ZERO, -half, ONE]]
     assert is_positive_definite(h3)
     h5h5 = [[ONE, -PHI / 2, ZERO], [-PHI / 2, ONE, -PHI / 2], [ZERO, -PHI / 2, ONE]]
     assert not is_positive_definite(h5h5)
@@ -105,7 +106,7 @@ def test_subspace_equality_ignores_basis_choice():
 def test_subspace_irrational_line():
     line = Subspace.from_vectors([[ONE, PHI]], 2)
     assert line.contains([PHI, PHI + ONE])
-    assert not line.contains([PHI, PHI + HALF])
+    assert not line.contains([PHI, PHI + FieldScalar.from_rational(1, 2)])
     assert not line.contains([rational(610), rational(987)])
 
 

@@ -49,11 +49,11 @@ def test_random_involutions_factor_through_their_closures(name, picks):
     # a product of pairwise orthogonal reflections is an involution, and
     # every involution is one
     system = RootSystem.named(name)
-    orth = system.orthogonality
+    orth = system.orthogonal_masks
     clique = []
     for k in picks:
         t = k % system.n_pos
-        if all(orth[t, c] for c in clique):
+        if all(orth[t] >> c & 1 for c in clique):
             clique.append(t)
     u = identity(system)
     for t in clique:
