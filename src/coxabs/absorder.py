@@ -63,7 +63,7 @@ class IntervalPoset:
 
     top: Element
     perms: np.ndarray
-    words: list[tuple[int, ...]]
+    words: tuple[tuple[int, ...], ...]
     ranks: np.ndarray
     down: list[int]
     hasse: list[tuple[int, int]]

@@ -19,7 +19,10 @@ A Parabolic is interned per system and mask, and its derived data
 (simple system, component types, longest element, the involutive test)
 are cached properties, so sweeps over many involutions stay cheap.  The
 intern table, RootSystem._parabolics, lives as long as its system and
-holds at most one entry per parabolic subgroup of W.
+holds at most one entry per parabolic subgroup of W.  The involution
+search keeps only its last result, in RootSystem._last_search: one
+(Parabolic, perms, words) entry per system, bounded by the search's
+cap, which the search of another Parabolic replaces.
 """
 
 from __future__ import annotations
@@ -264,7 +267,9 @@ def involution_masks(system: RootSystem, perms: np.ndarray) -> list[int]:
 # involutions of a subsystem
 
 
-def involutions_with_words(p: Parabolic) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+def involutions_with_words(
+    p: Parabolic,
+) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
     """All involutions of the subsystem, each with one minimal reflection word.
 
     Involutions are exactly the products of pairwise orthogonal
@@ -274,8 +279,8 @@ def involutions_with_words(p: Parabolic) -> tuple[np.ndarray, list[tuple[int, ..
     word.  Pairwise orthogonal roots are linearly independent, so every
     such word is T-reduced and its length is the reflection length
     (Carter, Compositio Math. 25, 1972).  Returns (perms, words): one
-    PERM_DTYPE row per involution and its word, sorted by that length,
-    then by permutation bytes.  No Element is built.
+    read-only PERM_DTYPE row per involution and a tuple of their words,
+    sorted by that length, then by permutation bytes.  No Element is built.
 
     The roots a clique may still take are a mask cut by each new root's
     RootSystem.orthogonal_masks.  The first word of x is t, the smallest
@@ -283,15 +288,26 @@ def involutions_with_words(p: Parabolic) -> tuple[np.ndarray, list[tuple[int, ..
     product was found before is no prefix of a first word, and stops.
     Each step gathers through table row t cast to intp, twice as fast as int16.
 
-    The involutions of P(u) are the candidates of the interval [1, u],
-    whose down-set table takes up to count^2 / 8 bytes; the search raises
+    The involutions of P(u) are the candidates of the interval [1, u].
+    The search holds each row twice, in found and then stacked, and the
+    down-set table of [1, u] takes count^2 / 8 bytes; it raises
     CapExceededError as soon as the count passes what TABLE_CAP_BYTES
-    admits, before it holds the rest.
+    admits for both, before it holds the rest.
+
+    The last search of each system stays in RootSystem._last_search, so
+    the interval and the structural test of one top u search P(u) once.
+    A repeat call returns the same arrays while the cap in force admits
+    their count, and else searches again, to refuse.
     """
     sys = p.system
-    table, simple, orth = sys.reflection_table, sys.simple_idx, sys.orthogonal_masks
     cap = rootsystem.TABLE_CAP_BYTES
-    most = math.isqrt(8 * cap)
+    # most: the largest n with n^2/8 + n * b/8 <= cap, b/8 the bytes of two rows
+    b = 16 * sys.n_roots * PERM_DTYPE.itemsize
+    most = (math.isqrt(b * b + 32 * cap) - b) // 2
+    last = sys._last_search
+    if last is not None and last[0] is p and len(last[2]) <= most:
+        return last[1], last[2]
+    table, simple, orth = sys.reflection_table, sys.simple_idx, sys.orthogonal_masks
     found: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
 
     def visit(perm: np.ndarray, clique: tuple[int, ...], allowed: int):
@@ -310,9 +326,16 @@ def involutions_with_words(p: Parabolic) -> tuple[np.ndarray, list[tuple[int, ..
             t = low.bit_length() - 1
             visit(perm[table[t].astype(np.intp)], clique + (t,), allowed & orth[t])
 
-    visit(np.arange(sys.n_roots, dtype=PERM_DTYPE), (), p.mask)
+    try:
+        visit(np.arange(sys.n_roots, dtype=PERM_DTYPE), (), p.mask)
+    finally:
+        visit = None  # the closure refers to itself; drop it, or found lives on
     ordered = sorted(found.values(), key=lambda pw: (len(pw[1]), pw[0].tobytes()))
-    return np.array([perm for perm, _ in ordered]), [word for _, word in ordered]
+    perms = np.array([perm for perm, _ in ordered])
+    perms.flags.writeable = False
+    words = tuple(word for _, word in ordered)
+    sys._last_search = (p, perms, words)
+    return perms, words
 
 
 def enumerate_involutions(p: Parabolic) -> list[Element]:

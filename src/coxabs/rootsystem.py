@@ -512,10 +512,13 @@ class RootSystem:
         )
         # caches that live as long as the system, filled by other modules:
         # the interned Parabolic per closed mask (at most one per parabolic
-        # subgroup), l_T by Element.key(), and the enumerated group
+        # subgroup), l_T by Element.key(), the enumerated group, and the
+        # last involution search, one (Parabolic, perms, words) entry that
+        # the next search of another Parabolic replaces
         self._parabolics: dict = {}
         self._ell_t_cache: dict[bytes, int] = {}
         self._group = None
+        self._last_search = None
 
     # -- construction ---------------------------------------------------
 

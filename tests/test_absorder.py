@@ -316,13 +316,14 @@ def test_d6_w0_interval_takes_no_product_lengths():
 
 
 def test_oversized_interval_is_refused(monkeypatch):
-    # H3 w0 is -Id: its 32 involutions are all candidates, and a table of
-    # 32 down-sets of 32 bits takes 32 * 32 / 8 = 128 bytes
+    # H3 w0 is -Id: its 32 involutions are all candidates.  The search
+    # holds their rows of 30 int16 entries twice (32 * 120 bytes), and a
+    # table of 32 down-sets of 32 bits takes 32 * 32 / 8 = 128 bytes more
     u = longest_element(RootSystem.named("H3"))
-    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 127)
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 3967)
     with pytest.raises(CapExceededError, match="passed 31 elements"):
         interval_of_involution(u)
-    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 128)
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 3968)
     assert interval_of_involution(u).size == 32
 
 

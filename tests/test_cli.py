@@ -66,11 +66,12 @@ def test_oversized_reflection_table_exits_2(capsys, monkeypatch, tmp_path):
 @pytest.mark.parametrize("argv", [["lattice", "E8", "--w0"], ["classify", "E8"]])
 def test_e8_interval_is_refused_by_the_search_and_exits_2(capsys, argv):
     # all 199 952 involutions of E8 lie below w0 = -Id; the search stops
-    # at 46 341, past what TABLE_CAP_BYTES admits for the down-sets
+    # at 42 660, past what TABLE_CAP_BYTES admits for its rows and the
+    # down-sets
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "involution search passed 46340 elements" in err
+    assert "involution search passed 42659 elements" in err
 
 
 def test_length_with_rank2_letters(capsys):

@@ -1,5 +1,6 @@
 """Reflection subgroups as closed root subsets: closure, types, intersections."""
 
+import gc
 import hashlib
 import random
 from collections import Counter
@@ -33,7 +34,12 @@ from coxabs.parabolic import (
     parabolic_closure,
     standard_parabolic,
 )
-from coxabs.rootsystem import RootSystem, named_coxeter_matrix, parse_label
+from coxabs.rootsystem import (
+    CapExceededError,
+    RootSystem,
+    named_coxeter_matrix,
+    parse_label,
+)
 from coxabs.verify import SMALL_GROUP_TYPES
 
 
@@ -508,3 +514,65 @@ def test_involution_search_output_is_pinned():
             digest.update(row.astype("<i2").tobytes())
             digest.update(repr(word).encode())
     assert digest.hexdigest() == INVOLUTION_SEARCH_DIGEST
+
+
+def test_a_search_leaves_no_cyclic_garbage(monkeypatch):
+    # the recursive search refers to itself; once it returns or refuses,
+    # its found dict and rows must go with their last reference, not wait
+    # for the cyclic collector.  A fresh system, so that each call searches
+    system = RootSystem(named_coxeter_matrix("E6"), parse_label("E6"))
+    whole = parabolic_closure(longest_element(system))
+    pair = closure_of_roots(system, system.simple_idx[:2])
+    assert pair.type_labels == (parse_label("A1"),) * 2
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(involutions_with_words(whole)[1]) == 44  # P(w0) is D4
+        assert len(involutions_with_words(pair)[1]) == 4
+        assert gc.collect() == 0
+        monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 2048)
+        refused = False
+        try:
+            involutions_with_words(whole)
+        except CapExceededError:
+            refused = True
+        assert refused
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_repeated_search_returns_the_remembered_read_only_arrays():
+    system = RootSystem(named_coxeter_matrix("F4"), parse_label("F4"))
+    whole, a2 = full_parabolic(system), standard_parabolic(system, [0, 1])
+    perms, words = involutions_with_words(whole)
+    assert not perms.flags.writeable
+    with pytest.raises(ValueError):
+        perms[0, 0] = 1
+    assert isinstance(words, tuple)
+    hit = involutions_with_words(whole)
+    assert hit[0] is perms and hit[1] is words
+    # another parabolic misses and takes the one entry; whole searches again
+    small_perms, small_words = involutions_with_words(a2)
+    assert len(small_words) == 4 and system._last_search[0] is a2
+    fresh = involutions_with_words(whole)
+    assert fresh[0] is not perms
+    assert np.array_equal(fresh[0], perms) and fresh[1] == words
+
+
+def test_a_remembered_search_is_refused_under_a_lowered_cap(monkeypatch):
+    # H3 w0 is -Id: its 32 involutions are all candidates; 32 rows of 30
+    # entries held twice at 2 bytes each, plus 32 down-sets of 32 bits,
+    # take 32 * 120 + 128 = 3 968 bytes
+    p = parabolic_closure(longest_element(RootSystem.named("H3")))
+    assert len(involutions_with_words(p)[1]) == 32
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 3967)
+    message = (
+        "the involution search passed 31 elements, whose down-set table "
+        "would pass the cap of 3967 bytes"
+    )
+    with pytest.raises(CapExceededError) as excinfo:
+        involutions_with_words(p)
+    assert str(excinfo.value) == message
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 3968)
+    assert len(involutions_with_words(p)[1]) == 32
