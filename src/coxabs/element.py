@@ -19,10 +19,10 @@ the fixed space, and is memoized per system.  It is the Bareiss rank of
 moved_rows(), the int_rows of w(a_j) - a_j packed one Python int per row
 (linalg.PackedRows): one subtraction of two rows of RootSystem.packed_roots,
 a table built on the first l_T, not with the system, whose one field width
-(packed_bits) holds every minor of such rows by Hadamard's bound.  Their
-echelon and its annihilator give parabolic_closure.  The FieldScalar
-matrix, fixed space and moved space are the reference the tests and
-verify compare against.
+(packed_bits) holds every minor of such rows by Hadamard's bound.
+parabolic_closure takes no rank: it sums roots along the cycles of perm.
+The FieldScalar matrix, fixed space and moved space are the reference
+the tests and verify compare against.
 
 longest_element is the cached one of the full Parabolic.  It, the l_T
 memo and the group table live as long as their RootSystem.

@@ -8,8 +8,10 @@ stores the set as one Python int bitmask over positive root indices,
 which makes intersection of parabolics a bitwise AND (the intersection of
 closed sets is closed and spans are compatible, see intersect below).
 
-Closures find their roots by linalg.echelon and annihilator on the
-integer root rows.  Components and their types come from
+parabolic_closure(w) keeps the positive roots whose cycle under w sums
+to 0, as the mean of the powers of w projects onto Fix(w); closure_of_roots,
+for any root set, finds its roots by linalg.echelon and annihilator on
+the integer root rows.  Components and their types come from
 rootsystem.recognize, the recognizer the build uses, fed the bonds read
 off the reflection table between non-orthogonal simple roots; the
 FieldScalar Subspace behind span, is_closed and contains_element is the
@@ -244,17 +246,41 @@ def parabolic_closure(w: Element) -> Parabolic:
     """The smallest parabolic subgroup containing w.
 
     This is the pointwise stabilizer of the fixed space of w, so its
-    roots are the positive roots orthogonal to every fixed vector: those
-    in the span of w.moved_rows(), as Im(M_w - Id) = Fix(w)^perp.  For an
-    involution w is -Id on the moved space, so a root lies in it exactly
-    when w sends it to its own negative; that reads the mask straight off
-    the permutation, as involution_masks does per row.
+    roots are the positive roots in Mov(w) = Fix(w)^perp (Carter,
+    Compositio Math. 25, 1972).  w has finite order m and preserves the
+    form, so the mean of w^0, ..., w^(m-1) is the orthogonal projection
+    onto Fix(w), and it sends a root to the mean of the roots in its cycle
+    under w.perm: the root lies in Mov(w) exactly when its cycle sums to 0.
+    For an involution a cycle is a fixed root or a pair {a, w(a)}, which
+    sums to 0 exactly when w(a) = -a, so one vectorized test of the perm
+    gives the mask, as involution_masks does per row.
     """
     sys = w.system
     if w.is_involution:
         flipped = w.perm[: sys.n_pos] == sys.negatives
         return Parabolic(sys, rootsystem.packed_mask(flipped))
-    return Parabolic(sys, _roots_in_row_span(sys, w.moved_rows()))
+    return Parabolic(sys, _zero_sum_cycles(sys, w.perm))
+
+
+def _zero_sum_cycles(system: RootSystem, perm: np.ndarray) -> int:
+    """Mask of the positive roots whose cycle under perm sums to 0, on
+    RootSystem.cycle_rows, each cycle walked once from a positive root."""
+    rows, perm, n_pos = system.cycle_rows, perm.tolist(), system.n_pos
+    mask = 0
+    for start in range(n_pos):
+        i = perm[start]
+        if i < 0:  # walked already
+            continue
+        cycle, total = [start], rows[start]
+        perm[start] = -1
+        while i != start:
+            cycle.append(i)
+            total += rows[i]
+            perm[i], i = -1, perm[i]
+        if not total:
+            for i in cycle:
+                mask |= 1 << i % n_pos
+    return mask
 
 
 def involution_masks(system: RootSystem, perms: np.ndarray) -> list[int]:

@@ -514,7 +514,8 @@ class RootSystem:
         # the interned Parabolic per closed mask (at most one per parabolic
         # subgroup), l_T by Element.key(), the enumerated group, and the
         # last involution search, one (Parabolic, perms, words) entry that
-        # the next search of another Parabolic replaces
+        # the next search of another Parabolic replaces; and, built on first
+        # use, the cached properties packed_roots (l_T) and cycle_rows (closures)
         self._parabolics: dict = {}
         self._ell_t_cache: dict[bytes, int] = {}
         self._group = None
@@ -633,6 +634,19 @@ class RootSystem:
             tuple(linalg.pack_row(r[k], bits) for r in rows)
             for k in range(self.int_degree)
         )
+
+    @cached_property
+    def cycle_rows(self) -> tuple:
+        """cycle_rows[i]: row 0 of int_rows[i] packed, for every root i (a
+        negative as the negated int), which parabolic_closure sums along
+        cycles.  A cycle holds at most n_roots roots, so each entry of a sum
+        is at most n_roots * largest |entry|; a width of its bit length plus
+        a sign bit and one of headroom keeps the fields apart, so a packed
+        sum is 0 exactly when every entry of the sum is."""
+        rows = self.positive_rows
+        bits = (self.n_roots * int(np.abs(rows).max())).bit_length() + 2
+        positive = [linalg.pack_row(row, bits) for row in rows.tolist()]
+        return tuple(positive + [-x for x in positive])
 
     def packed_rows(self, indices) -> linalg.PackedRows:
         """The int_rows of the roots at indices, positive or negative, packed."""

@@ -137,7 +137,7 @@ def test_closure_masks_agree_on_both_dtype_paths(name, monkeypatch):
     elements = random_elements(system, rng, 60)
     subsets = [
         [rng.randrange(system.n_roots) for _ in range(rng.randint(0, system.rank))]
-        for _ in range(60)
+        for _ in range(120)
     ]
 
     def masks():
@@ -149,11 +149,12 @@ def test_closure_masks_agree_on_both_dtype_paths(name, monkeypatch):
     # a bound of 0 sends every product to Python ints
     monkeypatch.setattr(parabolic, "INT64_DOT_BOUND", 0)
     assert masks() == int64_masks
+    # only closure_of_roots reaches the products
     full = (1 << system.n_pos) - 1
-    assert sum(m not in (0, full) for m in int64_masks) > 60
+    assert sum(m not in (0, full) for m in int64_masks[len(elements) :]) > 60
 
 
-def test_closure_makes_one_echelon_and_one_annihilator(monkeypatch):
+def test_element_closure_makes_no_echelon_and_root_set_closure_one_each(monkeypatch):
     system = RootSystem.named("H4")
     w = from_word(system, [0, 1, 0, 2])
     assert not w.is_involution
@@ -164,7 +165,71 @@ def test_closure_makes_one_echelon_and_one_annihilator(monkeypatch):
         linalg, "annihilator", counted(calls, "annihilator", linalg.annihilator)
     )
     assert parabolic_closure(w).size > 0
+    assert calls == Counter()
+    # three roots spanning a plane: a rank-deficient set
+    a, b = system.simple_idx[:2]
+    p = closure_of_roots(system, [a, b, system.reflection_table[a][b]])
+    assert p.rank == 2
     assert calls == Counter(echelon=1, annihilator=1)
+
+
+#: whole groups, then seeded samples of group elements and of random words
+CYCLE_GROUPS = ["H3", "B4", "F4", "D4", "G2", "I2(5)", "H4"]
+CYCLE_SAMPLED = {"E6": 2000}
+CYCLE_WORDS = {"E8": 40, "A30": 40}
+
+
+@pytest.mark.parametrize("name", CYCLE_GROUPS + [*CYCLE_SAMPLED, *CYCLE_WORDS])
+def test_zero_sum_cycles_match_the_row_span_and_flip_routes(name):
+    system = RootSystem.named(name)
+    rng = random.Random(name)
+    if name in CYCLE_WORDS:
+        perms = [w.perm for w in random_elements(system, rng, CYCLE_WORDS[name])]
+    else:
+        perms = enumerate_group(system).perms
+        if name in CYCLE_SAMPLED:
+            perms = perms[sorted(rng.sample(range(len(perms)), CYCLE_SAMPLED[name]))]
+    involutions = 0
+    for perm in perms:
+        w = Element(system, perm)
+        mask = parabolic._zero_sum_cycles(system, perm)
+        assert mask == parabolic._roots_in_row_span(system, w.moved_rows())
+        assert mask == parabolic_closure(w).mask
+        if w.is_involution:
+            involutions += 1
+            flipped = perm[: system.n_pos] == system.negatives
+            assert mask == rootsystem.packed_mask(flipped)
+    assert involutions > 0 or name in CYCLE_WORDS
+
+
+def decode(packed, bits, ncols):
+    """The signed fields of a packed int, column 0 lowest."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    out = []
+    for _ in range(ncols):
+        x = ((packed + half) & mask) - half
+        out.append(x)
+        packed = (packed - x) >> bits
+    assert packed == 0
+    return out
+
+
+@pytest.mark.parametrize("name", ["E8", "B8", "A30", "H4"])
+def test_cycle_rows_sums_decode_to_the_column_sums(name):
+    system = RootSystem.named(name)
+    rows, pos = system.cycle_rows, system.positive_rows
+    ncols = pos.shape[1]
+    # the width, read off the simple roots: row 0 of a_0 is a 1 in column
+    # 0, and that of a_1 a 1 in column int_degree (a 1 + 0*phi on {1, phi})
+    assert rows[system.simple_idx[0]] == 1
+    bits = (rows[system.simple_idx[1]].bit_length() - 1) // system.int_degree
+    assert len(rows) == system.n_roots
+    assert all(rows[t + system.n_pos] == -rows[t] for t in range(system.n_pos))
+    assert decode(sum(rows[: system.n_pos]), bits, ncols) == pos.sum(axis=0).tolist()
+    # the bound's own worst case: n_roots copies of the largest entry
+    k = int(np.abs(pos).max(axis=1).argmax())
+    total = decode(system.n_roots * rows[k], bits, ncols)
+    assert total == (system.n_roots * pos[k]).tolist()
 
 
 @pytest.mark.parametrize("name", ["B3", "D4", "F4", "G2", "H3", "H4", "I2(5)", "E6"])
