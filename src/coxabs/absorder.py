@@ -12,11 +12,11 @@ so this module keeps two fully independent lattice tests:
 
   * is_lattice_bruteforce works on the interval order alone: down-sets
     built from the covers x = y t (t a reflection, one rank down) as
-    bitsets, and one scan asking of every pair whether its common lower
-    bounds form a down-set, one set test per row;
-  * is_lattice_structural never looks at the interval order and instead
-    intersects parabolic closures, read off all the involutions at once,
-    asking each intersection whether its longest element is -Id on its span.
+    bitsets, asking of two lower covers of one element whether their
+    common lower bounds form a down-set;
+  * is_lattice_structural reads neither the order nor the search: it
+    walks the closures down from P(u) and asks of two lower covers of
+    one closure whether their intersection is involutive.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from __future__ import annotations
 import dataclasses
 import json
 from functools import cached_property
-from itertools import repeat
+from itertools import combinations, repeat
 
 import numpy as np
 
+from . import rootsystem
 from .element import Element, void_rows
 from .parabolic import (
     Parabolic,
@@ -37,7 +38,7 @@ from .parabolic import (
     involutions_with_words,
     parabolic_closure,
 )
-from .rootsystem import format_type_multiset
+from .rootsystem import PERM_DTYPE, CapExceededError, format_type_multiset
 
 
 def leq_T(u: Element, v: Element) -> bool:
@@ -183,17 +184,56 @@ def first_meet_failure(down: list[int]):
 
 
 def is_lattice_bruteforce(poset: IntervalPoset):
-    """Scan all pairs for a unique greatest lower bound.
-
-    The poset is finite with a bottom and a top, so meets for all pairs
-    suffice for being a lattice.  Returns (True, None) or
-    (False, MeetFailure) for the first failing pair in scan order.
-    """
-    failure = first_meet_failure(poset.down)
-    if failure is None:
+    """Whether any two lower covers of a common element have a meet, in one
+    subset test.  For a finite bounded poset that is being a lattice, the
+    dual of Lemma 2.1 of Bjorner, Edelman and Ziegler (Discrete Comput.
+    Geom. 5, 1990).  Proof: induct on the rank of a least upper bound z of
+    x, y.  Unless x or y is z, x <= x1 and y <= y1 for lower covers
+    x1 != y1 of z; so the meets m of x1, y1, then a of x, m (below x1) and
+    b of a, y (below y1) exist, and every common lower bound of x and y
+    lies below m, a and b in turn: b is their meet.  Returns (True, None)
+    or (False, MeetFailure) for first_meet_failure's pair, run only then."""
+    down, lows = poset.down, [[] for _ in poset.down]
+    for x, y in poset.hasse:
+        lows[y].append(down[x])
+    if set(down).issuperset(a & b for l in lows for a, b in combinations(l, 2)):
         return True, None
-    i, j = failure
-    return False, MeetFailure(i, j, maximal_lower_bounds(poset.down, i, j))
+    i, j = first_meet_failure(down)
+    return False, MeetFailure(i, j, maximal_lower_bounds(down, i, j))
+
+
+def closure_walk(u: Element):
+    """Yield each Q in F, the closure masks of [1, u], down from P(u), with
+    the intersections of pairs of its lower covers no earlier Q yielded.
+    Each C_a = Q & orthogonal_masks[a], a in Q, is in F, the closure of
+    x t_a for x central in Q, -Id exactly on span(Q) & a^perp; and R < Q
+    in F lies below one: with y central in R, x y is -Id on span(Q) &
+    span(R)^perp != 0, so it flips a root a of Q orthogonal to R.  A mask
+    held or yielded counts its bits, one perm row (the longest element a
+    tested Parabolic keeps) and 600 bytes of sets and objects against
+    TABLE_CAP_BYTES; past it the walk raises CapExceededError."""
+    sys = u.system
+    orth, cap = sys.orthogonal_masks, rootsystem.TABLE_CAP_BYTES
+    most = cap // (sys.n_pos // 8 + sys.n_roots * PERM_DTYPE.itemsize + 600)
+    top = parabolic_closure(u).mask
+    seen, stack, paired = {top}, [top], set()
+    while stack:
+        q = rest = stack.pop()
+        covers = set()
+        while rest:  # each root a of q, lowest first
+            low = rest & -rest
+            covers.add(q & orth[low.bit_length() - 1])
+            rest ^= low
+        pairs = {a & b for a, b in combinations(covers, 2)} - paired
+        paired |= pairs
+        stack += covers - seen
+        seen |= covers
+        if len(seen) + len(paired) > most:
+            raise CapExceededError(
+                f"the closure walk passed {most} masks, whose parabolics "
+                f"would pass the cap of {cap} bytes"
+            )
+        yield q, pairs
 
 
 @dataclasses.dataclass(frozen=True)
@@ -206,17 +246,26 @@ class IntersectionFailure:
 
 
 def is_lattice_structural(u: Element):
-    """Decide lattice-ness from closures alone, no interval order.
-
-    Intersects the parabolic closures of all pairs of interval elements
-    and checks every intersection is involutive.  Returns (True, None)
-    or (False, IntersectionFailure) for the first failing pair.
-    """
+    """Decide lattice-ness from closures alone: no interval order, no search.
+    F, order-isomorphic to [1, u], holds the involutive parabolics of P(u),
+    so [1, u] is a lattice iff F is closed under intersection, iff every
+    intersection closure_walk yields is involutive.  Proof of the last if:
+    induct on the size of a least upper bound C in F of A, B in F.  Unless
+    A or B is C, A <= A1 = C_a and B <= B1 = C_b with A1 != B1, and A1 & B1
+    is in F; so is A & B1 = A & (A1 & B1), below A1, and A & B =
+    (A & B1) & B, below B1.  Returns (True, None), or (False,
+    IntersectionFailure) for the first failing pair j, then i < j, of F in
+    the search's order, scanned only after a failure."""
     if not u.is_involution:
         raise ValueError("structural lattice test requires an involution")
     sys = u.system
-    masks = involution_masks(sys, involutions_with_words(parabolic_closure(u))[0])
-    involutive: dict[int, bool] = {}  # one verdict per distinct intersection
+    if all(Parabolic(sys, m).is_involutive for _, ms in closure_walk(u) for m in ms):
+        return True, None
+    parabolics = sorted(  # all of F, by rank, then the central involution's perm
+        map(Parabolic, repeat(sys), (q for q, _ in closure_walk(u))),
+        key=lambda p: (len(p.simple_system), p.longest_element.perm.tobytes()),
+    )
+    masks, involutive = [p.mask for p in parabolics], {}  # one test per intersection
     for j, mj in enumerate(masks):
         for i in range(j):
             inter = masks[i] & mj
@@ -224,12 +273,9 @@ def is_lattice_structural(u: Element):
             if ok is None:
                 ok = involutive[inter] = Parabolic(sys, inter).is_involutive
             if not ok:
-                return False, IntersectionFailure(
-                    Parabolic(sys, masks[i]),
-                    Parabolic(sys, mj),
-                    Parabolic(sys, inter),
-                )
-    return True, None
+                inter = Parabolic(sys, inter)
+                return False, IntersectionFailure(parabolics[i], parabolics[j], inter)
+    raise AssertionError("the cover scan failed where the pair scan passes")
 
 
 def meet(poset: IntervalPoset, v: Element, w: Element) -> Element:

@@ -241,7 +241,7 @@ def _cmd_classify(args) -> int:
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
-    return 0
+    return 0 if all(len(set(r[4:])) == 1 for r in table[1:]) else 1  # verdicts agree
 
 
 def _cmd_verify(args) -> int:

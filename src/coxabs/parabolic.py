@@ -21,10 +21,7 @@ A Parabolic is interned per system and mask, and its derived data
 (simple system, component types, longest element, the involutive test)
 are cached properties, so sweeps over many involutions stay cheap.  The
 intern table, RootSystem._parabolics, lives as long as its system and
-holds at most one entry per parabolic subgroup of W.  The involution
-search keeps only its last result, in RootSystem._last_search: one
-(Parabolic, perms, words) entry per system, bounded by the search's
-cap, which the search of another Parabolic replaces.
+holds at most one entry per parabolic subgroup of W.
 """
 
 from __future__ import annotations
@@ -319,20 +316,12 @@ def involutions_with_words(
     down-set table of [1, u] takes count^2 / 8 bytes; it raises
     CapExceededError as soon as the count passes what TABLE_CAP_BYTES
     admits for both, before it holds the rest.
-
-    The last search of each system stays in RootSystem._last_search, so
-    the interval and the structural test of one top u search P(u) once.
-    A repeat call returns the same arrays while the cap in force admits
-    their count, and else searches again, to refuse.
     """
     sys = p.system
     cap = rootsystem.TABLE_CAP_BYTES
     # most: the largest n with n^2/8 + n * b/8 <= cap, b/8 the bytes of two rows
     b = 16 * sys.n_roots * PERM_DTYPE.itemsize
     most = (math.isqrt(b * b + 32 * cap) - b) // 2
-    last = sys._last_search
-    if last is not None and last[0] is p and len(last[2]) <= most:
-        return last[1], last[2]
     table, simple, orth = sys.reflection_table, sys.simple_idx, sys.orthogonal_masks
     found: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
 
@@ -360,7 +349,6 @@ def involutions_with_words(
     perms = np.array([perm for perm, _ in ordered])
     perms.flags.writeable = False
     words = tuple(word for _, word in ordered)
-    sys._last_search = (p, perms, words)
     return perms, words
 
 

@@ -512,14 +512,11 @@ class RootSystem:
         )
         # caches that live as long as the system, filled by other modules:
         # the interned Parabolic per closed mask (at most one per parabolic
-        # subgroup), l_T by Element.key(), the enumerated group, and the
-        # last involution search, one (Parabolic, perms, words) entry that
-        # the next search of another Parabolic replaces; and, built on first
-        # use, the cached properties packed_roots (l_T) and cycle_rows (closures)
+        # subgroup), l_T by Element.key() and the enumerated group; and the
+        # cached properties packed_roots (l_T) and cycle_rows (closures)
         self._parabolics: dict = {}
         self._ell_t_cache: dict[bytes, int] = {}
         self._group = None
-        self._last_search = None
 
     # -- construction ---------------------------------------------------
 

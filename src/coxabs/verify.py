@@ -32,7 +32,7 @@ import traceback
 
 import numpy as np
 
-from .absorder import closure_map_report, interval_of_involution
+from .absorder import closure_map_report, closure_walk, interval_of_involution
 from .classify import (
     counterexample_witness,
     decompose_involution,
@@ -533,12 +533,18 @@ def _interval_matches_oracle(u: Element) -> tuple[bool, str]:
     return True, f"{len(keys)} elements, {len(poset_edges)} covers"
 
 
+def _walk_matches_search(u: Element) -> bool:
+    """Whether the closure walk below u finds the search's closures."""
+    found = enumerate_involutions(parabolic_closure(u))
+    return {q for q, _ in closure_walk(u)} == {parabolic_closure(x).mask for x in found}
+
+
 @_check("interval oracle identity")
 def check_interval_oracle(deep: bool = False):
     """The Cayley-graph oracle reproduces every interval poset exactly.
 
-    Every involution of every small group; deep adds the longest element
-    of H4, whose interval carries every involution of the group.
+    Every involution of every small group; deep adds H4's w0, whose interval
+    holds all of H4, and the walk against the search below B6's and E6's.
     """
     for name in SMALL_GROUP_TYPES:
         outcomes = [
@@ -553,6 +559,9 @@ def check_interval_oracle(deep: bool = False):
         system = RootSystem.named("H4")
         same, detail = _interval_matches_oracle(longest_element(system))
         yield same, f"H4 w0: {detail}"
+        tops = _involutions("B6") + _involutions("E6")
+        bad = sum(not _walk_matches_search(u) for u in tops)
+        yield not bad, f"B6, E6: {len(tops)} involutions, {bad} walks unlike the search"
     else:
         yield True, "H4 w0 skipped (enable deep)"
 

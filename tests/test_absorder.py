@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from coxabs import linalg, rootsystem
+from coxabs import linalg, parabolic, rootsystem, verify
 from coxabs.absorder import (
     closure_map_report,
+    closure_walk,
     first_meet_failure,
     interval_of_involution,
     is_lattice_bruteforce,
@@ -29,7 +30,13 @@ from coxabs.element import (
     reflection,
     simple_reflection,
 )
-from coxabs.parabolic import Parabolic, involutions_with_words
+from coxabs.parabolic import (
+    Parabolic,
+    enumerate_involutions,
+    involution_masks,
+    involutions_with_words,
+    parabolic_closure,
+)
 from coxabs.rootsystem import (
     CapExceededError,
     RootSystem,
@@ -355,3 +362,109 @@ def test_meet_scan_equals_the_incomparable_pair_scan_on_dihedral_down_sets(m):
         _, _, leq = group.interval(u)
         down = [sum(1 << int(i) for i in np.flatnonzero(col)) for col in leq.T]
         assert first_meet_failure(down) == incomparable_pair_scan(down)
+
+
+def fresh_b5_w0():
+    """B5's w0, a lattice, in a system of its own, so that nothing a test
+    spoils reaches the shared one."""
+    return longest_element(RootSystem(named_coxeter_matrix("B5"), parse_label("B5")))
+
+
+def test_a_spoiled_down_set_fails_the_cover_scan_on_b5_w0():
+    poset = interval_of_involution(fresh_b5_w0())
+    assert is_lattice_bruteforce(poset) == (True, None)
+    # an atom x below a rank 2 element z loses the bottom: with z's other
+    # lower cover it has no common lower bound left, and every down-set
+    # but its own holds the bottom
+    x, z = next((x, z) for x, z in poset.hasse if poset.ranks[z] == 2)
+    poset.down[x] ^= 1
+    ok, failure = is_lattice_bruteforce(poset)
+    assert not ok and failure.maximal_lower_bound_ids == ()
+
+
+def test_a_spoiled_orthogonality_row_fails_the_structural_walk_on_b5_w0():
+    u = fresh_b5_w0()
+    system = u.system
+    orth = list(system.orthogonal_masks)
+    # roots 2 and 0 (short, the simple root of the fifth node) are
+    # orthogonal; with the bit cleared every cover C_2 the walk takes
+    # loses root 0, and those masks are no longer all closures
+    assert orth[2] & 1
+    orth[2] ^= 1
+    system.__dict__["orthogonal_masks"] = tuple(orth)
+    assert not is_lattice_structural(u)[0]
+
+
+def test_one_intersection_taken_for_non_involutive_fails_the_structural_walk(
+    monkeypatch,
+):
+    u = fresh_b5_w0()
+    system = u.system
+    assert is_lattice_structural(u) == (True, None)
+    orth, top = system.orthogonal_masks, parabolic_closure(u).mask
+    a, b = system.simple_idx[:2]
+    spoiled = top & orth[a] & orth[b]  # two lower covers of the top meet here
+    involutive = Parabolic.is_involutive.func
+    monkeypatch.setattr(
+        Parabolic,
+        "is_involutive",
+        property(lambda p: p.mask != spoiled and involutive(p)),
+    )
+    ok, failure = is_lattice_structural(u)
+    assert not ok and failure.intersection.mask == spoiled
+
+
+def walk_family(u: Element) -> set[int]:
+    return {q for q, _ in closure_walk(u)}
+
+
+def search_family(u: Element) -> list[int]:
+    perms, _ = involutions_with_words(parabolic_closure(u))
+    return involution_masks(u.system, perms)
+
+
+@pytest.mark.parametrize("name", SMALL_GROUP_TYPES + ("D6", "E6"))
+def test_the_closure_walk_finds_the_searchs_closures_below_every_involution(name):
+    system = RootSystem.named(name)
+    for u in enumerate_involutions(Parabolic(system, (1 << system.n_pos) - 1)):
+        masks = search_family(u)
+        assert walk_family(u) == set(masks) and len(set(masks)) == len(masks)
+
+
+@pytest.mark.parametrize("name", ["B7", "E7", "D8"])
+def test_the_closure_walk_finds_the_searchs_closures_below_w0(name):
+    u = longest_element(RootSystem.named(name))
+    assert walk_family(u) == set(search_family(u))
+
+
+def test_a_search_that_drops_an_involution_fails_the_walk_cross_check(monkeypatch):
+    u = longest_element(RootSystem.named("B3"))
+    assert verify._walk_matches_search(u)
+    search = parabolic.involutions_with_words
+
+    def dropping(p):  # loses its row 1, an atom
+        perms, words = search(p)
+        return np.delete(perms, 1, axis=0), words[:1] + words[2:]
+
+    monkeypatch.setattr(parabolic, "involutions_with_words", dropping)
+    assert not verify._walk_matches_search(u)
+
+
+def test_the_closure_walk_is_refused_under_a_lowered_cap(monkeypatch):
+    # H3 w0 is -Id: the walk holds its 32 masks and yields 16 distinct
+    # intersections of cover pairs, 48 counted in all; each counts one bit
+    # row of 15 roots, one perm row of 30 int16 entries and 600 bytes
+    u = longest_element(RootSystem.named("H3"))
+    assert len(walk_family(u)) == 32
+    assert len(set().union(*(pairs for _, pairs in closure_walk(u)))) == 16
+    per_mask = 15 // 8 + 30 * 2 + 600
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 48 * per_mask - 1)
+    message = (
+        "the closure walk passed 47 masks, whose parabolics "
+        f"would pass the cap of {48 * per_mask - 1} bytes"
+    )
+    with pytest.raises(CapExceededError) as excinfo:
+        is_lattice_structural(u)
+    assert str(excinfo.value) == message
+    monkeypatch.setattr(rootsystem, "TABLE_CAP_BYTES", 48 * per_mask)
+    assert is_lattice_structural(u) == (True, None)

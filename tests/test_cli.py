@@ -190,6 +190,22 @@ def test_symbolic_lattice_disagreement_exits_1(capsys, monkeypatch):
     assert "structural=False" in out and "agree=False" in out
 
 
+def test_classify_disagreement_exits_1(capsys, monkeypatch):
+    verdict = classify.lattice_by_classification
+    monkeypatch.setattr(classify, "lattice_by_classification", lambda u: not verdict(u))
+    code, out, _ = run(capsys, "classify", "B3")
+    assert code == 1
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert rows and all(row[-3:] == ["True", "True", "False"] for row in rows)
+
+
+def test_symbolic_classify_disagreement_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli.Dihedral, "lattice_structural", lambda self, u: (False, None)
+    )
+    assert run(capsys, "classify", "I2(8)")[0] == 1
+
+
 def test_classify_table(capsys):
     code, out, _ = run(capsys, "classify", "B3")
     assert code == 0

@@ -1,16 +1,23 @@
-"""Property tests on random inputs: l_T against the deletion oracle, and
-the factorization of random involutions through their closures."""
+"""Property tests on random inputs: l_T against the deletion oracle, the
+factorization of random involutions through their closures, and the cover
+scan of random bounded posets against the full pair scan."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from coxabs.absorder import (  # noqa: E402
+    IntervalPoset,
+    first_meet_failure,
+    is_lattice_bruteforce,
+)
 from coxabs.classify import decompose_involution  # noqa: E402
 from coxabs.element import from_word, identity, reflection  # noqa: E402
 from coxabs.oracles import DYER_MAX_WORD, dyer_reflection_length  # noqa: E402
+from coxabs.parabolic import indices_from_mask  # noqa: E402
 from coxabs.rootsystem import RootSystem  # noqa: E402
 
 
@@ -63,3 +70,43 @@ def test_random_involutions_factor_through_their_closures(name, picks):
     assert factorization.product() == u
     assert factorization.factor_lengths_add()
     assert factorization.factors_commute()
+
+
+def bounded_poset(n: int, above: list[bool]) -> list[int]:
+    """Down-sets of a poset on 0..n-1 with bottom 0 and top n-1, ids along
+    a linear extension: x < y for 0 < x < y < n-1 when above[x * n + y]
+    holds, closed under transitivity."""
+    down = [1]
+    for y in range(1, n):
+        below = 1 << y | 1
+        for x in range(1, y):
+            if y == n - 1 or above[x * n + y]:
+                below |= down[x]
+        down.append(below)
+    return down
+
+
+def covering_pairs(down: list[int]) -> list[tuple[int, int]]:
+    """(x, y) for each x covered by y: the maximal ids strictly below y."""
+    hasse = []
+    for y, below in enumerate(down):
+        strictly = below ^ 1 << y
+        deeper = 0
+        for x in indices_from_mask(strictly):
+            deeper |= down[x] ^ 1 << x
+        hasse += [(x, y) for x in indices_from_mask(strictly & ~deeper)]
+    return hasse
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 9), st.lists(st.booleans(), min_size=81, max_size=81))
+@example(6, [i in (9, 10, 15, 16) for i in range(81)])
+def test_the_cover_scan_decides_lattices_of_random_bounded_posets(n, above):
+    # the dual of Bjorner, Edelman and Ziegler's Lemma 2.1 (Discrete
+    # Comput. Geom. 5, 1990); the example is the crown of B2's w0: atoms
+    # 1, 2 below both 3 and 4, no meet for 3 and 4
+    down = bounded_poset(n, above)
+    lattice = first_meet_failure(down) is None
+    # the cover scan reads down and hasse only
+    poset = IntervalPoset(None, None, (), None, down, covering_pairs(down), {})
+    assert is_lattice_bruteforce(poset)[0] == lattice
