@@ -543,8 +543,8 @@ def _walk_matches_search(u: Element) -> bool:
 def check_interval_oracle(deep: bool = False):
     """The Cayley-graph oracle reproduces every interval poset exactly.
 
-    Every involution of every small group; deep adds H4's w0, whose interval
-    holds all of H4, and the walk against the search below B6's and E6's.
+    Every involution of every small group; deep adds H4's w0 (every H4
+    involution) and the closure walk against the search on B6 and E6.
     """
     for name in SMALL_GROUP_TYPES:
         outcomes = [
