@@ -1,10 +1,10 @@
 """Exact linear algebra: a packed-row integer Bareiss and a Q(phi) reference.
 
-Production ranks and spans run on plain ints: echelon() is Bareiss
-elimination over Q on rows packed one Python int each (PackedRows), in
-signed fields of one width from Hadamard's bound; rank_rational() counts
-its pivots and annihilator() gives an integer basis of their null space.
-The FieldScalar rank, rref, kernel and Subspace work over Q(phi),
+Production ranks run on plain ints: rank_rational() counts the pivots of
+Bareiss elimination over Q on rows packed one Python int each
+(PackedRows), in signed fields of one width from Hadamard's bound.  No
+closure eliminates: parabolic reads every closure off orbit sums.  The
+FieldScalar rank, rref, kernel and Subspace work over Q(phi),
 fraction free with one normalization pass at the end, and are the
 reference the tests and verify compare against.  A Subspace is kept in
 reduced row echelon form, so equality is a tuple comparison and
@@ -13,9 +13,7 @@ membership one pass of elimination against its rows.
 
 from __future__ import annotations
 
-import bisect
 import math
-import operator
 from typing import NamedTuple
 
 from .field import FieldScalar, ZERO, ONE
@@ -188,8 +186,13 @@ def _packed(matrix) -> PackedRows:
 
 
 def _pivot_rows(packed: PackedRows) -> list[tuple[int, int]]:
-    """Bareiss elimination on packed rows: (column, row) per pivot, the
-    row packed from its pivot column on.  The pivot column is always the
+    """Bareiss elimination over Q (Math. Comp. 22, 1968) on packed rows:
+    (column, row) per pivot, the row packed from its pivot column on.
+
+    The update of a whole row (p * R - f * T) // prev is exact, each field
+    being divisible by prev, and leaves minors of the input, which the
+    width holds, so p and f decode exactly; a factor f = 0 still rescales
+    the row, for the later divisions.  The pivot column is always the
     lowest field: every row left shifts down one field after a pivot, and
     every row when a column has none."""
     rows = [row for row in packed.rows if row]
@@ -215,63 +218,10 @@ def _pivot_rows(packed: PackedRows) -> list[tuple[int, int]]:
     return out
 
 
-def echelon(matrix) -> list[list[int]]:
-    """Row echelon form over Q, on ints, of a matrix of ints or rationals
-    or of PackedRows: the nonzero rows, each with its first nonzero entry
-    in its own pivot column.
-
-    Bareiss elimination (Math. Comp. 22, 1968): the update of a whole row
-    (p * R - f * T) // prev is exact, each field being divisible by prev,
-    and leaves minors of the input, which the width holds, so p and f
-    decode exactly.  A factor f = 0 still rescales the row, for the later
-    divisions.  Zero input rows are dropped and rows that become zero
-    stay, so the swaps and rows are those of the elimination on lists.
-    """
-    packed = _packed(matrix)
-    bits, ncols = packed.bits, packed.ncols
-    mask, half = (1 << bits) - 1, 1 << (bits - 1)
-    out = []
-    for col, row in _pivot_rows(packed):
-        entries = [0] * col
-        for _ in range(col, ncols):
-            x = row & mask
-            if x >= half:
-                x -= mask + 1
-            entries.append(x)
-            row = (row - x) >> bits
-        out.append(entries)
-    return out
-
-
 def rank_rational(matrix) -> int:
     """Exact rank over Q of a matrix of ints or rationals, or of
     PackedRows: the number of pivots, never unpacked."""
     return len(_pivot_rows(_packed(matrix)))
-
-
-def annihilator(basis, ncols: int) -> list[list[int]]:
-    """Integer basis of the null space of basis, an echelon() result: one
-    vector per free column, by back substitution that scales the vector by
-    p / gcd(s, p) so that a pivot entry s / p is an integer, then divides
-    out the vector's gcd."""
-    pivots = [next(c for c, x in enumerate(row) if x) for row in basis]
-    out = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        vec = [0] * ncols
-        vec[f] = 1
-        # pivots right of f get zeros, and vec is zero right of f
-        for k in range(bisect.bisect(pivots, f) - 1, -1, -1):
-            row, c = basis[k], pivots[k]
-            s = -sum(map(operator.mul, row[c + 1 : f + 1], vec[c + 1 : f + 1]))
-            if s:
-                p = row[c]
-                g = math.gcd(s, p)
-                if p != g:
-                    vec = [x * (p // g) for x in vec]
-                vec[c] = s // g
-        g = math.gcd(*vec)
-        out.append([x // g for x in vec] if g != 1 else vec)
-    return out
 
 
 class Subspace:

@@ -10,8 +10,8 @@ closed sets is closed and spans are compatible, see intersect below).
 
 parabolic_closure(w) keeps the positive roots whose cycle under w sums
 to 0, as the mean of the powers of w projects onto Fix(w); closure_of_roots,
-for any root set, finds its roots by linalg.echelon and annihilator on
-the integer root rows.  Components and their types come from
+for any root set, reads the same sums off a product of reflections along
+independent roots of the set.  Components and their types come from
 rootsystem.recognize, the recognizer the build uses, fed the bonds read
 off the reflection table between non-orthogonal simple roots; the
 FieldScalar Subspace behind span, is_closed and contains_element is the
@@ -32,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import linalg, rootsystem
+from . import rootsystem
 from .element import Element
 from .linalg import Subspace
 from .rootsystem import PERM_DTYPE, CapExceededError, RootSystem, TypeLabel, recognize
@@ -62,13 +62,13 @@ def conjugate_mask(system: RootSystem, mask: int, perm: np.ndarray) -> int:
 class Parabolic:
     """A parabolic subgroup, identified by its closed positive-root set.
 
-    Construct through closure_of_roots, parabolic_closure, standard, or
-    intersect; the mask handed to the constructor must already be closed.
-    Instances are interned: Parabolic(system, mask) returns the one
-    instance for that mask, kept in system._parabolics, so equality is
-    identity and every derived datum below is computed once.  The table
-    lives as long as its RootSystem and holds at most one entry per
-    parabolic subgroup of W.
+    Construct through closure_of_roots, parabolic_closure,
+    standard_parabolic or intersect; the mask handed to the constructor
+    must already be closed.  Instances are interned: Parabolic(system,
+    mask) returns the one instance for that mask, kept in
+    system._parabolics, so equality is identity and every derived datum
+    below is computed once.  The table lives as long as its RootSystem
+    and holds at most one entry per parabolic subgroup of W.
     """
 
     def __new__(cls, system: RootSystem, mask: int):
@@ -203,35 +203,27 @@ class Parabolic:
 # constructors
 
 
-#: bound on |root coordinate| x l1(annihilator vector) for the int64 product
-INT64_DOT_BOUND = 2**63
-
-
-def _roots_in_row_span(system: RootSystem, rows) -> int:
-    """Mask of the positive roots in the span over Q of int_rows rows,
-    packed (RootSystem.packed_rows).
-
-    That span is a Q(phi)-span written on {1, phi}, so it is closed under
-    multiplication by phi: a root lies in it exactly when its row 0 does,
-    that is when row 0 is orthogonal to every vector of the annihilator.
-    """
-    basis = linalg.echelon(rows)
-    pos = system.positive_rows
-    if len(basis) == pos.shape[1]:
-        return (1 << system.n_pos) - 1
-    ann = linalg.annihilator(basis, pos.shape[1])
-    widest = max(sum(map(abs, k)) for k in ann)
-    dtype = np.int64 if widest * int(np.abs(pos).max()) < INT64_DOT_BOUND else object
-    inside = ~(pos.astype(dtype, copy=False) @ np.array(ann, dtype=dtype).T).any(axis=1)
-    return rootsystem.packed_mask(inside)
-
-
 def closure_of_roots(system: RootSystem, indices) -> Parabolic:
-    """Smallest parabolic containing the given reflections.
+    """Smallest parabolic containing the given reflections: the positive
+    roots in the span of the inputs, folded in one root at a time.
 
-    Takes all positive roots inside the linear span of the inputs.
+    A root already in the closure so far is skipped; any other root b
+    multiplies the product c by s_b, and the closure is read off c by
+    _zero_sum_cycles, as parabolic_closure does.  A kept root lies outside
+    the closure so far, which holds every root in its span, so the kept
+    roots are linearly independent.  Each s_b fixes span(b)^perp, so Mov(c)
+    lies in their span, and for k independent roots dim Mov(c) = l_T(c) = k
+    (Carter, Compositio Math. 25, 1972): the closure of c is the positive
+    roots in the span of the kept roots, which is that of every input.
     """
-    return Parabolic(system, _roots_in_row_span(system, system.packed_rows(indices)))
+    table, n_pos = system.reflection_table, system.n_pos
+    perm, mask = np.arange(system.n_roots, dtype=PERM_DTYPE), 0
+    for t in indices:
+        t = int(t) % n_pos
+        if not mask >> t & 1:
+            perm = perm[table[t]]
+            mask = _zero_sum_cycles(system, perm)
+    return Parabolic(system, mask)
 
 
 def standard_parabolic(system: RootSystem, generators) -> Parabolic:

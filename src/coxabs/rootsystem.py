@@ -36,6 +36,7 @@ import math
 import re
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
+from itertools import chain
 
 import numpy as np
 
@@ -439,11 +440,12 @@ class RootSystem:
     orthogonal_masks, inversion_masks and bond_between read off that
     table, negatives (n_pos + t, the index of -a_t, per positive t) and
     int_rows, the input of the exact integer rank (packed on first use as
-    packed_roots): root i as int_degree rows.  With every coordinate in Z
-    a root is its own row (degree 1); otherwise it gives the rows x and
-    phi*x on the basis {1, phi}, a coordinate a + b*phi putting [a, b] in
-    the first and [b, a + b] in the second (degree 2, twice the rank over
-    Q(phi) as the rank over Q).  The reference view, which tests and
+    packed_roots) and, by row 0, of the closures' cycle_rows: root i as
+    int_degree rows.  With every coordinate in Z a root is its own row
+    (degree 1); otherwise it gives the rows x and phi*x on the basis
+    {1, phi}, a coordinate a + b*phi putting [a, b] in the first and
+    [b, a + b] in the second (degree 2, twice the rank over Q(phi) as the
+    rank over Q).  The reference view, which tests and
     verify compare against, is roots (tuples of FieldScalar), gram (the
     form on the simple roots) and bilinear; it is built on first use.
     """
@@ -506,10 +508,6 @@ class RootSystem:
             for r in flat
         )
         self.negatives = np.arange(self.n_pos, self.n_roots, dtype=PERM_DTYPE)
-        # row 0 of every positive root, which closures test against a span
-        self.positive_rows = np.array(
-            [rows[0] for rows in self.int_rows[: self.n_pos]], dtype=np.int64
-        )
         # caches that live as long as the system, filled by other modules:
         # the interned Parabolic per closed mask (at most one per parabolic
         # subgroup), l_T by Element.key() and the enumerated group; and the
@@ -640,9 +638,10 @@ class RootSystem:
         is at most n_roots * largest |entry|; a width of its bit length plus
         a sign bit and one of headroom keeps the fields apart, so a packed
         sum is 0 exactly when every entry of the sum is."""
-        rows = self.positive_rows
-        bits = (self.n_roots * int(np.abs(rows).max())).bit_length() + 2
-        positive = [linalg.pack_row(row, bits) for row in rows.tolist()]
+        rows = [r[0] for r in self.int_rows[: self.n_pos]]
+        largest = max(map(abs, chain.from_iterable(rows)))
+        bits = (self.n_roots * largest).bit_length() + 2
+        positive = [linalg.pack_row(row, bits) for row in rows]
         return tuple(positive + [-x for x in positive])
 
     def packed_rows(self, indices) -> linalg.PackedRows:

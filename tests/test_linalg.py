@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from coxabs import linalg
 from coxabs.field import ONE, PHI, ZERO, FieldScalar
 from coxabs.linalg import (
     PackedRows,
     Subspace,
-    echelon,
     hadamard_bits,
     is_positive_definite,
     kernel,
@@ -110,9 +110,28 @@ def test_subspace_irrational_line():
     assert not line.contains([rational(610), rational(987)])
 
 
+def echelon(matrix) -> list[list[int]]:
+    """The pivot rows of the packed Bareiss (linalg._pivot_rows) on a
+    matrix of ints or rationals or on PackedRows, each decoded from its
+    signed fields, with zeros left of its pivot column."""
+    packed = linalg._packed(matrix)
+    bits, ncols = packed.bits, packed.ncols
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    out = []
+    for col, row in linalg._pivot_rows(packed):
+        entries = [0] * col
+        for _ in range(col, ncols):
+            x = ((row + half) & mask) - half
+            entries.append(x)
+            row = (row - x) >> bits
+        assert row == 0
+        out.append(entries)
+    return out
+
+
 def reference_echelon(matrix) -> list[list[int]]:
     """Bareiss elimination on lists of Python ints, one update per entry:
-    the packed echelon's reference, row for row."""
+    the packed pivot rows' reference, row for row."""
     rows = []
     for row in matrix:
         den = math.lcm(*(Fraction(x).denominator for x in row))
